@@ -21,7 +21,6 @@ from .solver import (
     brute_force_solve,
     edge_consistent,
     format_regions,
-    initial_measure,
     lift,
     live_levels,
     prefix_length,
@@ -30,14 +29,11 @@ from .solver import (
     zielonka,
 )
 from .trees import (
-    BOT,
-    TOP,
     OrderedTree,
     embeds,
     enumerate_trees,
     find_counterexample,
     leaf_count,
-    min_leaf_geq,
     universal_tree,
     verify_universal,
     with_stop_branches,

@@ -10,6 +10,17 @@ prefix its own least leaf, which is what lets unconstrained vertices
 rest low instead of being dragged upward; without it the eta-sized tree
 is too small in games where both players win somewhere.
 
+The padded tree is fully determined by (eta, d/2), so it is never built.
+A leaf is its rank 0..W-1 in leaf order and TOP is W, the tree's width
+(`LeafRanks`).  Leaf order is lexicographic path order, so every subtree
+owns a contiguous block of ranks, and "the length-k path prefix of a is
+>= (or >) that of b" reads "a >= the first rank (or the end) of b's
+depth-k block".  A non-blank node of size m has m + 1 children: the stop
+branch, one leaf wide, then padded subtrees of the sizes
+S(m) = S(m // 2) + (m,) + S(m - 1 - m // 2) that `trees.universal_tree`
+grafts below it.  Per-height tables of child offsets locate a rank's
+block with one bisection per level.
+
 One side is the measured player: Even when odd-priority vertices are no
 more numerous than even-priority ones, Odd otherwise.  A vertex label
 must dominate its successors' labels on the leaf-path prefix determined
@@ -21,13 +32,15 @@ one seen when the edge is traversed).  Keying the comparison by the
 entered vertex is essential for the eta bound: every strict update over
 a vertex w computes the same "least leaf strictly above mu(w) at w's
 prefix length", so at most one fresh branch circulates per
-opponent-parity vertex.
+opponent-parity vertex.  It also means that the cheapest value any edge
+into w admits depends on w alone, so the measure keeps it per vertex
+(`Measure.target`) and recomputes it only when w's value changes.
 
 Prefix lengths are anchored at the opponent-parity priorities actually
 present in the game: an absent priority would add a comparison level
-that nothing ever resets, skewing the labelling.  The tree is still
-built at the standard height d/2; comparisons simply never reach the
-trailing coordinates.
+that nothing ever resets, skewing the labelling.  The tree still has
+the standard height d/2; comparisons simply never reach the trailing
+coordinates.
 
 Labels start at the least leaf and only ever increase toward TOP, so
 iterating the local repair `lift` to a fixpoint yields the least
@@ -44,18 +57,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .game import EVEN, ODD, GameError, GameGraph, priority_counts
-from .trees import (
-    TOP,
-    OrderedTree,
-    leaf_count,
-    min_leaf_geq,
-    universal_tree,
-    with_stop_branches,
-)
 
 WORKLIST_POLICIES = ("fifo", "lifo", "random")
 
@@ -113,24 +120,100 @@ def live_levels(g: GameGraph, player: int) -> list[int]:
     return sorted({p for p in g.priority if p % 2 == opp_parity})
 
 
-class Measure:
-    """Per-vertex leaf values plus the fixed context of one lifting run.
+def _subtree_sizes(m: int) -> tuple[int, ...]:
+    # S(m): sizes of the universal subtrees grafted below a size-m node
+    if m == 0:
+        return ()
+    return _subtree_sizes(m // 2) + (m,) + _subtree_sizes(m - 1 - m // 2)
 
-    ``values[v]`` is a leaf path of ``tree`` or TOP, starting at the
-    least leaf.  ``k[w]`` and ``strict[w]`` describe the comparison an
-    edge *into* w imposes.  The tree may be taller than the number of
-    live levels (the standard sizing uses height d/2); comparisons then
-    never reach the trailing coordinates, and a truncated universal tree
-    is still universal, so the extra height is harmless.
+
+class LeafRanks:
+    """Leaf ranks of ``with_stop_branches(universal_tree(size, height))``.
+
+    Leaves are numbered 0..width-1 in leaf order, and ``width`` doubles as
+    TOP.  A node is known by its size m: m >= 1 for a padded universal
+    subtree, 0 for a stop branch, which is a single path to one leaf.
+    ``_levels[t][m]`` holds, for a size-m node of height t >= 1, the
+    start offsets of its children followed by its width, and its
+    children's sizes.  The tables are built bottom-up over the heights.
     """
 
-    __slots__ = ("values", "player", "tree", "d", "k", "strict")
+    __slots__ = ("size", "height", "width", "_levels")
 
-    def __init__(self, g: GameGraph, player: int, tree: OrderedTree):
+    def __init__(self, size: int, height: int):
+        if size < 1 or height < 0:
+            raise ValueError("size must be positive and height nonnegative")
+        # S(size) holds size itself and, by induction, every size below it
+        kids = {m: (0,) + _subtree_sizes(m) for m in set(_subtree_sizes(size))}
+        # widths at the height below the level being built; a stop
+        # branch is one leaf wide at every height
+        widths = dict.fromkeys([0, *kids], 1)
+        levels: list[dict] = [{}]
+        for _ in range(height):
+            level = {}
+            for m, children in kids.items():
+                bounds = [0]
+                for s in children:
+                    bounds.append(bounds[-1] + widths[s])
+                level[m] = (tuple(bounds), children)
+            levels.append(level)
+            widths.update((m, bounds[-1]) for m, (bounds, _) in level.items())
+        self.size = size
+        self.height = height
+        self.width = widths[size]
+        self._levels = levels
+
+    def successor(self, r: int, k: int, strict: bool) -> int:
+        """Least rank whose length-k path prefix is >= (strict: >) r's.
+
+        That is the first rank of the depth-k block holding r, or the
+        rank just past it under ``strict``; ``width`` (TOP) when that
+        block is the last one.  k = 0 prefixes are all equal, so strict
+        gives TOP and non-strict the least leaf.
+        """
+        if not 0 <= r < self.width:
+            raise ValueError(f"{r!r} is not a leaf rank below {self.width}")
+        if not 0 <= k <= self.height:
+            raise ValueError(f"prefix length {k} outside 0..{self.height}")
+        levels = self._levels
+        m = self.size
+        base, end = 0, self.width
+        for t in range(self.height, self.height - k, -1):
+            if not m:
+                break  # inside a stop branch: the block is already one leaf
+            bounds, children = levels[t][m]
+            i = bisect_right(bounds, r - base) - 1
+            base, end = base + bounds[i], base + bounds[i + 1]
+            m = children[i]
+        return end if strict else base
+
+
+@lru_cache(maxsize=256)
+def leaf_ranks(size: int, height: int) -> LeafRanks:
+    """Cached `LeafRanks`; the tables depend only on (size, height)."""
+    return LeafRanks(size, height)
+
+
+class Measure:
+    """Per-vertex leaf ranks plus the fixed context of one lifting run.
+
+    ``values[v]`` is a leaf rank of ``ranks`` or ``top`` (its width),
+    starting at the least leaf 0.  ``k[w]`` and ``strict[w]`` describe
+    the comparison an edge *into* w imposes, and ``target[w]`` caches the
+    least value such an edge admits; `set` keeps it in step with
+    ``values[w]``.  The tree may be taller than the number of live levels
+    (the standard sizing uses height d/2); comparisons then never reach
+    the trailing coordinates, and a truncated universal tree is still
+    universal, so the extra height is harmless.
+    """
+
+    __slots__ = ("values", "target", "player", "ranks", "top", "k", "strict")
+
+    def __init__(self, g: GameGraph, player: int, ranks: LeafRanks):
         levels = live_levels(g, player)
-        if tree.height < len(levels):
+        if ranks.height < len(levels):
             raise ValueError(
-                f"tree height {tree.height} below the {len(levels)} live levels"
+                f"tree height {ranks.height} below the {len(levels)} live levels"
             )
         opp_parity = 1 if player == EVEN else 0
         # k(p) = number of live levels with priority >= p
@@ -144,17 +227,29 @@ class Measure:
                 else:
                     hi = mid
             k.append(len(levels) - lo)
-        self.values: list = [(0,) * tree.height] * g.n
+        self.values = [0] * g.n
         self.player = player
-        self.tree = tree
-        self.d = g.d
+        self.ranks = ranks
+        self.top = ranks.width
         self.k = tuple(k)
         self.strict = tuple(p % 2 == opp_parity for p in g.priority)
+        self.target = [self.fresh_target(w) for w in range(g.n)]
 
+    def fresh_target(self, w: int) -> int:
+        """Least value an edge into w admits, computed from ``values[w]``.
 
-def initial_measure(g: GameGraph, player: int, tree: OrderedTree) -> Measure:
-    """Least-leaf measure for a lifting run of the given player over tree."""
-    return Measure(g, player, tree)
+        TOP when w is at TOP; otherwise the least rank whose prefix at w's
+        length dominates w's, strictly at opponent-parity vertices.
+        """
+        r = self.values[w]
+        if r == self.top:
+            return r
+        return self.ranks.successor(r, self.k[w], self.strict[w])
+
+    def set(self, v: int, value: int) -> None:
+        """Give v a new value and refresh its cached target."""
+        self.values[v] = value
+        self.target[v] = self.fresh_target(v)
 
 
 def edge_consistent(g: GameGraph, mu: Measure, v: int, w: int) -> bool:
@@ -162,53 +257,24 @@ def edge_consistent(g: GameGraph, mu: Measure, v: int, w: int) -> bool:
 
     True when mu(v) is TOP; otherwise mu(w) must not be TOP and the
     length-k prefix of mu(v) must be >= that of mu(w), strictly when the
-    edge enters a vertex of the opponent's parity.  k is the prefix
-    length of the entered vertex's priority.  Prefixes shorter than k
-    (values higher up the tree) compare below their extensions, which is
-    exactly tuple order; length-0 prefixes all compare equal.
+    edge enters a vertex of the opponent's parity; k is the prefix length
+    of the entered vertex's priority.  In ranks that is mu(v) >= the
+    least value the edge admits, recomputed here rather than read from
+    the cache so that this check stays independent of `lift`.
     """
-    a = mu.values[v]
-    if a is TOP:
-        return True
-    b = mu.values[w]
-    if b is TOP:
-        return False
-    k = mu.k[w]
-    if mu.strict[w]:
-        return a[:k] > b[:k]
-    return a[:k] >= b[:k]
+    return mu.values[v] >= mu.fresh_target(w)
 
 
-def lift(g: GameGraph, mu: Measure, v: int) -> object:
+def lift(g: GameGraph, mu: Measure, v: int) -> int:
     """Least value >= mu(v) restoring v's local consistency; never smaller.
 
-    Per edge (v, w) the cheapest admissible value is TOP if mu(w) is TOP
-    and otherwise `min_leaf_geq` of mu(w) at w's prefix length (strict at
-    opponent-parity targets).  Measured vertices need one admissible edge
-    (min over targets), opponent vertices all of them (max).
+    Each edge (v, w) admits ``mu.target[w]`` and above.  Measured
+    vertices need one admissible edge (min over targets), opponent
+    vertices all of them (max).
     """
-    values = mu.values
-    ks = mu.k
-    stricts = mu.strict
-    tree = mu.tree
-    measured = g.owner[v] == mu.player
-    best = None
-    for w in g.succ[v]:
-        mw = values[w]
-        if mw is TOP:
-            target = TOP
-        else:
-            target = min_leaf_geq(tree, mw, ks[w], stricts[w])
-        if best is None:
-            best = target
-        elif measured:
-            if target < best:
-                best = target
-        elif target > best:
-            best = target
-        if not measured and best is TOP:
-            break
-    old = values[v]
+    targets = map(mu.target.__getitem__, g.succ[v])
+    best = min(targets) if g.owner[v] == mu.player else max(targets)
+    old = mu.values[v]
     return best if best > old else old
 
 
@@ -249,7 +315,7 @@ def _run_worklist(g: GameGraph, mu: Measure, policy: str, seed: int) -> tuple[in
         if new != old:
             if not old < new:
                 raise AssertionError("lift tried to decrease a value")
-            values[v] = new
+            mu.set(v, new)
             changes += 1
             for u in preds[v]:
                 if not queued[u]:
@@ -278,10 +344,10 @@ def solve(
     player = EVEN if counts.odd <= counts.even else ODD
     eta = min(counts.odd, counts.even)
     size = g.n if full_tree else max(eta, 1)
-    tree = with_stop_branches(universal_tree(size, g.d // 2))
-    mu = initial_measure(g, player, tree)
+    ranks = leaf_ranks(size, g.d // 2)
+    mu = Measure(g, player, ranks)
     lifts, changes = _run_worklist(g, mu, worklist, seed)
-    won = frozenset(v for v in range(g.n) if mu.values[v] is not TOP)
+    won = frozenset(v for v in range(g.n) if mu.values[v] != mu.top)
     lost = frozenset(range(g.n)) - won
     regions = (
         WinningRegions(even=won, odd=lost)
@@ -291,7 +357,7 @@ def solve(
     stats = SolveStats(
         player=player,
         eta=eta,
-        tree_width=leaf_count(tree),
+        tree_width=ranks.width,
         lifts=lifts,
         changes=changes,
     )

@@ -3,7 +3,6 @@
 A tree of height h has every leaf at depth exactly h; its width is its
 number of leaves.  Leaves are addressed by root-to-leaf child-index paths
 (tuples of ints) and ordered lexicographically, leftmost child least.
-``BOT`` and ``TOP`` are sentinels comparing below and above every path.
 
 `universal_tree(n, h)` builds a tree of height h into which every ordered
 tree of height h and width at most n embeds; its width is exactly
@@ -16,35 +15,6 @@ from functools import lru_cache
 from typing import Iterator
 
 LeafPath = tuple  # tuple of child indices, one per level
-
-
-class _Extreme:
-    """Totally ordered sentinel sitting below (BOT) or above (TOP) all paths."""
-
-    __slots__ = ("_name", "_above")
-
-    def __init__(self, name: str, above: bool):
-        self._name = name
-        self._above = above
-
-    def __repr__(self):
-        return self._name
-
-    def __lt__(self, other):
-        return (not self._above) and other is not self
-
-    def __le__(self, other):
-        return other is self or not self._above
-
-    def __gt__(self, other):
-        return self._above and other is not self
-
-    def __ge__(self, other):
-        return other is self or self._above
-
-
-TOP = _Extreme("TOP", above=True)
-BOT = _Extreme("BOT", above=False)
 
 
 class OrderedTree:
@@ -107,29 +77,45 @@ class OrderedTree:
 
     @classmethod
     def from_text(cls, text: str) -> "OrderedTree":
-        tree, pos = cls._parse(text, 0)
+        tree, pos = cls._parse(text)
         if pos != len(text):
             raise ValueError(f"trailing characters at position {pos}: {text[pos:]!r}")
         return tree
 
     @classmethod
-    def _parse(cls, text: str, pos: int) -> tuple["OrderedTree", int]:
-        if pos >= len(text):
+    def _parse(cls, text: str) -> tuple["OrderedTree", int]:
+        # One tree from the start of text, and the position after it.  An
+        # explicit stack of the open nodes' child lists replaces recursion,
+        # so nesting depth is not bounded by the interpreter's stack.
+        if not text:
             raise ValueError("unexpected end of tree text")
-        if text[pos] == ".":
-            return cls(), pos + 1
-        if text[pos] != "(":
-            raise ValueError(f"expected '(' or '.' at position {pos}")
-        pos += 1
-        children = []
-        while pos < len(text) and text[pos] != ")":
-            child, pos = cls._parse(text, pos)
-            children.append(child)
-        if pos >= len(text):
-            raise ValueError("unbalanced '(' in tree text")
-        if not children:
-            raise ValueError("internal node with no children")
-        return cls(children), pos + 1
+        open_nodes: list[list] = []
+        pos = 0
+        while True:
+            # a node starts at pos
+            if text[pos] == "(":
+                open_nodes.append([])
+            elif text[pos] == ".":
+                if not open_nodes:
+                    return cls(), pos + 1
+                open_nodes[-1].append(cls())
+            else:
+                raise ValueError(f"expected '(' or '.' at position {pos}")
+            pos += 1
+            # close every node that ends here; stop where a child starts
+            while True:
+                if pos >= len(text):
+                    raise ValueError("unbalanced '(' in tree text")
+                if text[pos] != ")":
+                    break
+                children = open_nodes.pop()
+                if not children:
+                    raise ValueError("internal node with no children")
+                node = cls(children)
+                pos += 1
+                if not open_nodes:
+                    return node, pos
+                open_nodes[-1].append(node)
 
     def __eq__(self, other):
         if self is other:
@@ -284,40 +270,3 @@ def verify_universal(t: OrderedTree, n: int) -> bool:
     super-exponentially.
     """
     return find_counterexample(t, n) is None
-
-
-def min_leaf_geq(tree: OrderedTree, current, k: int, strict: bool):
-    """Least leaf whose length-k path prefix is >= (or >) current's prefix.
-
-    ``current`` is a leaf path of ``tree`` or BOT, which compares below
-    every leaf (so the least leaf is returned even under strict).  Returns
-    TOP when no leaf qualifies.  Prefixes compare lexicographically; k = 0
-    prefixes are all equal, so strict fails and non-strict yields the
-    overall least leaf.
-    """
-    if not 0 <= k <= tree.height:
-        raise ValueError(f"prefix length {k} outside 0..{tree.height}")
-    h = tree.height
-    if current is BOT:
-        return (0,) * h
-    if not isinstance(current, tuple) or len(current) != h:
-        raise ValueError(f"{current!r} is not a leaf path of a height-{h} tree")
-    # walk the full path once: validates it and records the prefix nodes
-    nodes = [tree]
-    node = tree
-    for i, idx in enumerate(current):
-        if not 0 <= idx < len(node.children):
-            raise ValueError(f"{current!r} is not a leaf path of this tree")
-        node = node.children[idx]
-        if i < k:
-            nodes.append(node)
-    if k == 0:
-        return TOP if strict else (0,) * h
-    if not strict:
-        # leftmost completion of the same prefix; always exists
-        return current[:k] + (0,) * (h - k)
-    for j in range(k - 1, -1, -1):
-        nxt = current[j] + 1
-        if nxt < len(nodes[j].children):
-            return current[:j] + (nxt,) + (0,) * (h - j - 1)
-    return TOP

@@ -54,6 +54,15 @@ def test_solve_oracle_corpus(tmp_path, capsys):
         assert "oracle: regions agree" in out
 
 
+def test_solve_oracle_deep_priority(tmp_path, capsys):
+    # d = 5000 asks for a tree of height 2500, far past the recursion limit
+    path = tmp_path / "deep.pg"
+    path.write_text("parity 1;\n0 5000 0 1;\n1 1 1 0;\n")
+    code, out, err = run(["solve", "--oracle", str(path)], capsys)
+    assert code == 0, err
+    assert "oracle: regions agree" in out
+
+
 def test_widths_stdout(capsys):
     code, out, _ = run(["widths", "--n", "3", "--h", "2"], capsys)
     assert code == 0

@@ -1,6 +1,7 @@
 """Lifting solver against its two independent reference solvers."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -10,10 +11,9 @@ from pgtrees import (
     GameError,
     GameGraph,
     Measure,
-    TOP,
     brute_force_solve,
     edge_consistent,
-    initial_measure,
+    leaf_count,
     lift,
     live_levels,
     prefix_length,
@@ -22,8 +22,10 @@ from pgtrees import (
     solve,
     universal_tree,
     vertex_consistent,
+    with_stop_branches,
     zielonka,
 )
+from pgtrees.solver import LeafRanks
 
 
 def seeded_games(count, n_range, d_choices, seed):
@@ -62,34 +64,142 @@ def test_live_levels():
     assert live_levels(g, ODD) == [2, 6]
 
 
+# -- leaf ranks of the padded universal tree ---------------------------------
+
+
+def qualifies(cur, k, strict):
+    # does a leaf's length-k prefix dominate cur's (strictly if strict)?
+    prefix = cur[:k]
+    if strict:
+        return lambda leaf: leaf[:k] > prefix
+    return lambda leaf: leaf[:k] >= prefix
+
+
+def scan_min_leaf(leaves, cur, k, strict, start=0):
+    # linear scan over the sorted leaf list; the reference for the rank
+    # successor.  Returns the index of the first qualifying leaf from start
+    # on, or len(leaves) for TOP.  Callers may pass the answer for a
+    # smaller cur as start: a leaf that fails for it fails for cur too.
+    ok = qualifies(cur, k, strict)
+    for i in range(start, len(leaves)):
+        if ok(leaves[i]):
+            return i
+    return len(leaves)
+
+
+def test_rank_successor_frozen_examples():
+    t = with_stop_branches(universal_tree(3, 2))
+    assert list(t.leaf_paths()) == [
+        (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)
+    ]
+    ranks = LeafRanks(3, 2)
+    assert ranks.width == 9
+    assert ranks.successor(0, 1, True) == 1  # past the root's stop branch
+    assert ranks.successor(1, 1, True) == 3
+    assert ranks.successor(6, 2, True) == 7
+    assert ranks.successor(8, 1, True) == 9  # TOP
+    assert ranks.successor(5, 1, False) == 3
+    assert ranks.successor(6, 0, False) == 0
+    assert ranks.successor(6, 0, True) == 9
+
+
+def test_rank_successor_invalid_inputs():
+    ranks = LeafRanks(3, 2)
+    with pytest.raises(ValueError):
+        ranks.successor(-1, 1, False)
+    with pytest.raises(ValueError):
+        ranks.successor(ranks.width, 1, False)  # TOP is not a leaf
+    with pytest.raises(ValueError):
+        ranks.successor(0, 3, False)
+    with pytest.raises(ValueError):
+        LeafRanks(0, 2)
+
+
+def test_rank_successor_matches_leaf_scan():
+    # every n <= 64, h <= 6, k and strictness.  Trees of up to 2,000
+    # leaves: every leaf, against the linear scan.  Larger ones: 64 seeded
+    # leaves plus the first and the last, against the first qualifying
+    # leaf found by bisection, which is the scan's answer because the
+    # predicate is monotone along the sorted leaves.
+    rng = random.Random(17)
+    for n in range(1, 65):
+        for h in range(7):
+            tree = with_stop_branches(universal_tree(n, h))
+            ranks = LeafRanks(n, h)
+            leaves = list(tree.leaf_paths())
+            width = len(leaves)
+            assert ranks.width == leaf_count(tree) == width
+            assert leaves == sorted(leaves)
+            scan = width <= 2000
+            sample = range(width) if scan else {0, width - 1, *rng.sample(range(width), 64)}
+            for k in range(h + 1):
+                for strict in (False, True):
+                    want = 0
+                    for r in sorted(sample):
+                        if scan:
+                            want = scan_min_leaf(leaves, leaves[r], k, strict, want)
+                        else:
+                            want = bisect_left(leaves, True, key=qualifies(leaves[r], k, strict))
+                        assert ranks.successor(r, k, strict) == want, (n, h, r, k, strict)
+
+
+def test_rank_successor_monotone():
+    rng = random.Random(11)
+    ranks = LeafRanks(5, 3)
+    for _ in range(200):
+        r, s = sorted(rng.randrange(ranks.width) for _ in range(2))
+        k = rng.randint(1, ranks.height)
+        loose = ranks.successor(r, k, False)
+        strict = ranks.successor(r, k, True)
+        assert loose <= r < strict  # TOP is above every leaf
+        assert ranks.successor(loose, k, True) == strict  # same block
+        assert loose <= ranks.successor(s, k, False)
+        assert strict <= ranks.successor(s, k, True)
+
+
+def test_target_cache_matches_values():
+    # a missed refresh would leave a stale target behind
+    for i, g in enumerate(seeded_games(100, (1, 10), (2, 4, 6, 8), seed=29)):
+        for policy in ("fifo", "lifo", "random"):
+            mu = solve(g, worklist=policy, seed=i).measure
+            assert mu.target == [mu.fresh_target(w) for w in range(g.n)]
+
+
 # -- edge condition and lift on explicit states ------------------------------
 
 
 def test_edge_condition_self_loop_examples():
-    # priority 1 self-loop, single-leaf tree: strict increase impossible
+    # priority 1 self-loop: a strict edge onto itself never holds on a leaf
     g = GameGraph([ODD], [1], [[0]], d=2)
-    mu = initial_measure(g, EVEN, universal_tree(1, 1))
-    assert mu.values[0] == (0,)
+    mu = Measure(g, EVEN, LeafRanks(1, 1))
+    assert mu.values[0] == 0
+    assert not edge_consistent(g, mu, 0, 0)
+    mu.set(0, mu.top - 1)  # the last leaf
     assert not edge_consistent(g, mu, 0, 0)
 
     # priority 2 self-loop: empty prefix, vacuously consistent
     g2 = GameGraph([ODD], [2], [[0]], d=2)
-    mu2 = initial_measure(g2, EVEN, universal_tree(1, 1))
+    mu2 = Measure(g2, EVEN, LeafRanks(1, 1))
     assert edge_consistent(g2, mu2, 0, 0)
 
     # top value dominates everything
-    mu.values[0] = TOP
+    mu.set(0, mu.top)
     assert edge_consistent(g, mu, 0, 0)
 
 
 def test_lift_self_loop_examples():
+    # padded single path: leaves 0 (stop branch) and 1; strict steps to
+    # the next leaf, and from the last one to TOP
     g = GameGraph([EVEN], [1], [[0]], d=2)
-    mu = initial_measure(g, EVEN, universal_tree(1, 1))
-    assert lift(g, mu, 0) is TOP
+    mu = Measure(g, EVEN, LeafRanks(1, 1))
+    assert mu.top == 2
+    assert lift(g, mu, 0) == 1
+    mu.set(0, 1)
+    assert lift(g, mu, 0) == mu.top
 
     g2 = GameGraph([EVEN], [2], [[0]], d=2)
-    mu2 = initial_measure(g2, EVEN, universal_tree(1, 1))
-    assert lift(g2, mu2, 0) == (0,)  # already consistent, no-op
+    mu2 = Measure(g2, EVEN, LeafRanks(1, 1))
+    assert lift(g2, mu2, 0) == 0  # already consistent, no-op
 
 
 def test_lift_never_decreases_on_random_states():
@@ -97,12 +207,10 @@ def test_lift_never_decreases_on_random_states():
     for g in seeded_games(150, (1, 8), (2, 4, 6), seed=8):
         counts = priority_counts(g)
         player = EVEN if counts.odd <= counts.even else ODD
-        result = solve(g)
-        tree = result.measure.tree
-        leaves = list(tree.leaf_paths())
-        mu = initial_measure(g, player, tree)
+        ranks = solve(g).measure.ranks
+        mu = Measure(g, player, ranks)
         for v in range(g.n):
-            mu.values[v] = rng.choice(leaves + [TOP])
+            mu.set(v, rng.randrange(ranks.width + 1))  # a leaf rank or TOP
         for v in range(g.n):
             assert not lift(g, mu, v) < mu.values[v]
 
@@ -229,14 +337,16 @@ def test_stats_fields():
     counts = priority_counts(g)
     assert r.stats.player in (EVEN, ODD)
     assert r.stats.eta == min(counts.odd, counts.even)
-    assert r.stats.tree_width == r.measure.tree.width
+    assert r.stats.tree_width == r.measure.ranks.width == r.measure.top
+    padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), g.d // 2))
+    assert r.stats.tree_width == leaf_count(padded)
     assert r.stats.changes <= r.stats.lifts
 
 
 def test_measure_rejects_short_tree():
     g = GameGraph([EVEN, EVEN], [1, 3], [[1], [0]], d=4)
     with pytest.raises(ValueError, match="live levels"):
-        Measure(g, EVEN, universal_tree(2, 1))
+        Measure(g, EVEN, LeafRanks(2, 1))
 
 
 # -- exhaustive and structured corpora ----------------------------------------

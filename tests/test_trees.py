@@ -1,4 +1,4 @@
-"""Ordered trees: construction, enumeration, embedding, leaf navigation."""
+"""Ordered trees: construction, enumeration, embedding, text format."""
 
 import random
 from functools import lru_cache
@@ -7,14 +7,11 @@ from math import prod
 import pytest
 
 from pgtrees import (
-    BOT,
-    TOP,
     OrderedTree,
     embeds,
     enumerate_trees,
     find_counterexample,
     leaf_count,
-    min_leaf_geq,
     universal_tree,
     verify_universal,
     width_recursive,
@@ -22,19 +19,6 @@ from pgtrees import (
 )
 
 # -- independent oracles -----------------------------------------------------
-
-
-def scan_min_leaf(leaves, cur, k, strict):
-    # linear scan over the sorted leaf list; the reference for min_leaf_geq
-    for leaf in leaves:
-        if cur is BOT:
-            return leaf
-        if strict:
-            if leaf[:k] > cur[:k]:
-                return leaf
-        elif leaf[:k] >= cur[:k]:
-            return leaf
-    return TOP
 
 
 @lru_cache(maxsize=None)
@@ -193,58 +177,6 @@ def test_universal_small_grid():
             assert verify_universal(universal_tree(n, h), n)
 
 
-# -- leaf navigation ---------------------------------------------------------
-
-
-def test_min_leaf_geq_frozen_examples():
-    t = universal_tree(3, 2)
-    assert list(t.leaf_paths()) == [(0, 0), (1, 0), (1, 1), (1, 2), (2, 0)]
-    assert min_leaf_geq(t, (0, 0), 1, True) == (1, 0)
-    assert min_leaf_geq(t, (1, 2), 2, True) == (2, 0)
-    assert min_leaf_geq(t, (2, 0), 1, True) is TOP
-    assert min_leaf_geq(t, (1, 2), 0, False) == (0, 0)
-    assert min_leaf_geq(t, (1, 2), 0, True) is TOP
-    assert min_leaf_geq(t, BOT, 2, True) == (0, 0)
-
-
-def test_min_leaf_geq_invalid_inputs():
-    t = universal_tree(3, 2)
-    with pytest.raises(ValueError):
-        min_leaf_geq(t, (0, 5), 1, False)
-    with pytest.raises(ValueError):
-        min_leaf_geq(t, (0,), 1, False)
-    with pytest.raises(ValueError):
-        min_leaf_geq(t, (0, 0), 3, False)
-
-
-def test_min_leaf_geq_against_scan():
-    rng = random.Random(9)
-    trees = [t for h in (1, 2, 3) for t in enumerate_trees(h, 5)]
-    trees += [universal_tree(n, h) for n in (2, 3, 5, 9) for h in (1, 2, 3)]
-    trees = [t for t in trees if t.width <= 50]
-    for t in trees:
-        leaves = list(t.leaf_paths())
-        assert leaves == sorted(leaves)
-        for _ in range(30):
-            cur = rng.choice(leaves + [BOT])
-            k = rng.randint(0, t.height)
-            strict = rng.random() < 0.5
-            assert min_leaf_geq(t, cur, k, strict) == scan_min_leaf(leaves, cur, k, strict)
-
-
-def test_min_leaf_geq_monotone():
-    rng = random.Random(11)
-    t = universal_tree(5, 3)
-    leaves = list(t.leaf_paths())
-    for _ in range(200):
-        cur = rng.choice(leaves)
-        k = rng.randint(1, t.height)
-        loose = min_leaf_geq(t, cur, k, False)
-        strict = min_leaf_geq(t, cur, k, True)
-        assert loose[:k] >= cur[:k]
-        assert strict > loose  # TOP compares above every leaf
-
-
 # -- text format and padding -------------------------------------------------
 
 
@@ -258,6 +190,28 @@ def test_from_text_rejects_garbage():
     for bad in ["", "(", "(.))", "()", "(.)x"]:
         with pytest.raises(ValueError):
             OrderedTree.from_text(bad)
+
+
+def test_from_text_error_messages():
+    cases = {
+        "": "unexpected end",
+        "x": "expected '\\(' or '\\.' at position 0",
+        "(.x)": "expected '\\(' or '\\.' at position 2",
+        "((.)": "unbalanced",
+        "(()": "no children",
+        "(.)(.)": "trailing characters at position 3",
+        "(.(.))": "same height",
+    }
+    for bad, message in cases.items():
+        with pytest.raises(ValueError, match=message):
+            OrderedTree.from_text(bad)
+
+
+def test_from_text_deep_nesting():
+    # nesting far beyond the interpreter's recursion limit
+    assert OrderedTree.from_text("(" * 5000 + "." + ")" * 5000).height == 5000
+    with pytest.raises(ValueError, match="unbalanced"):
+        OrderedTree.from_text("(" * 5000 + "." + ")" * 4999)
 
 
 def test_stop_branch_padding():
