@@ -72,6 +72,8 @@ def _cmd_widths(args) -> int:
 
 def _cmd_verify_universal(args) -> int:
     n, h = args.n, args.h
+    if n < 1:
+        raise ValueError("n must be positive")
     if (n > VERIFY_N_GUARD or h > VERIFY_H_GUARD) and not args.force:
         print(
             f"error: exhaustive check guarded to n <= {VERIFY_N_GUARD}, "

@@ -15,10 +15,6 @@ EVEN = 0
 ODD = 1
 
 
-def player_name(player: int) -> str:
-    return "EVEN" if player == EVEN else "ODD"
-
-
 class GameError(ValueError):
     """Raised for structurally invalid games."""
 
@@ -90,14 +86,13 @@ class GameGraph:
         self.priority = priority
         self.succ = succ
         self.preds = tuple(tuple(p) for p in preds)
-        counts = self.priority_counts()
-        assert min(counts.odd, counts.even) <= n // 2
 
     @property
     def edge_count(self) -> int:
         return sum(len(s) for s in self.succ)
 
     def priority_counts(self) -> PriorityCounts:
+        """Counts of odd- and even-priority vertices; their minimum is <= n // 2."""
         odd = sum(p % 2 for p in self.priority)
         return PriorityCounts(odd=odd, even=self.n - odd)
 
@@ -112,11 +107,6 @@ class GameGraph:
 
     def __repr__(self) -> str:
         return f"<GameGraph n={self.n} m={self.edge_count} d={self.d}>"
-
-
-def priority_counts(g: GameGraph) -> PriorityCounts:
-    """Counts of odd- and even-priority vertices; their minimum is <= n//2."""
-    return g.priority_counts()
 
 
 def normalize_priorities(raw: Sequence[int]) -> tuple[list[int], int]:

@@ -57,12 +57,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .game import EVEN, ODD, GameError, GameGraph, priority_counts
+from .game import EVEN, ODD, GameError, GameGraph
 
 WORKLIST_POLICIES = ("fifo", "lifo", "random")
 
@@ -91,22 +91,6 @@ class SolveResult:
     regions: WinningRegions
     stats: SolveStats
     measure: "Measure"   # final labelling, for inspection and tests
-
-
-def prefix_length(p: int, player: int, d: int) -> int:
-    """Comparison prefix for priority p under the given measured player.
-
-    Counts the priorities of the opponent's parity in p..d: odd ones for
-    the Even measure (levels d-1, d-3, ..., 1 top-down), even ones for
-    the Odd measure (levels d, d-2, ..., 2).
-    """
-    if d < 2 or d % 2 != 0:
-        raise ValueError("d must be a positive even number")
-    if not 1 <= p <= d:
-        raise ValueError(f"priority {p} outside 1..{d}")
-    if player == EVEN:
-        return (d - p + 1) // 2
-    return (d - p) // 2 + 1
 
 
 def live_levels(g: GameGraph, player: int) -> list[int]:
@@ -216,22 +200,12 @@ class Measure:
                 f"tree height {ranks.height} below the {len(levels)} live levels"
             )
         opp_parity = 1 if player == EVEN else 0
-        # k(p) = number of live levels with priority >= p
-        k = []
-        for p in g.priority:
-            lo, hi = 0, len(levels)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if levels[mid] < p:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            k.append(len(levels) - lo)
         self.values = [0] * g.n
         self.player = player
         self.ranks = ranks
         self.top = ranks.width
-        self.k = tuple(k)
+        # k(p) = number of live levels with priority >= p
+        self.k = tuple(len(levels) - bisect_left(levels, p) for p in g.priority)
         self.strict = tuple(p % 2 == opp_parity for p in g.priority)
         self.target = [self.fresh_target(w) for w in range(g.n)]
 
@@ -340,7 +314,7 @@ def solve(
     picks the fixpoint scheduling policy; the result is the same for all
     of them, only the lift counts differ.
     """
-    counts = priority_counts(g)
+    counts = g.priority_counts()
     player = EVEN if counts.odd <= counts.even else ODD
     eta = min(counts.odd, counts.even)
     size = g.n if full_tree else max(eta, 1)

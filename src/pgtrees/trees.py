@@ -45,12 +45,6 @@ class OrderedTree:
     def arity(self) -> int:
         return len(self.children)
 
-    def node_at(self, prefix: LeafPath) -> "OrderedTree":
-        node = self
-        for i in prefix:
-            node = node.children[i]
-        return node
-
     def leaf_paths(self) -> Iterator[LeafPath]:
         """All leaf paths in increasing (lexicographic) order."""
         if not self.children:
@@ -59,16 +53,6 @@ class OrderedTree:
         for i, child in enumerate(self.children):
             for rest in child.leaf_paths():
                 yield (i,) + rest
-
-    def is_leaf_path(self, path: LeafPath) -> bool:
-        if len(path) != self.height:
-            return False
-        node = self
-        for i in path:
-            if not 0 <= i < len(node.children):
-                return False
-            node = node.children[i]
-        return True
 
     def to_text(self) -> str:
         if not self.children:

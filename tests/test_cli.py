@@ -1,7 +1,8 @@
 """Command line behaviour and exit codes."""
 
-from pgtrees import parse_pgsolver, random_game, serialize_pgsolver, solve, zielonka
 from pgtrees.cli import main
+from pgtrees.game import parse_pgsolver, random_game, serialize_pgsolver
+from pgtrees.solver import solve, zielonka
 
 
 def run(argv, capsys):
@@ -143,6 +144,9 @@ def test_malformed_arguments_exit_2(capsys):
     assert "error" in err
     code, _, err = run(["verify-universal", "2", "1", "--tree", "((."], capsys)
     assert code == 2
+    code, _, err = run(["verify-universal", "0", "1"], capsys)
+    assert code == 2
+    assert err == "error: n must be positive\n"
 
 
 def test_bench_csv(tmp_path, capsys):

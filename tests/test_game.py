@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pgtrees import (
+from pgtrees.game import (
     EVEN,
     ODD,
     GameError,
@@ -12,7 +12,6 @@ from pgtrees import (
     ParseError,
     normalize_priorities,
     parse_pgsolver,
-    priority_counts,
     random_game,
     serialize_pgsolver,
 )
@@ -161,16 +160,16 @@ def test_random_game_priority_histogram_roughly_uniform():
 
 def test_priority_counts():
     g = GameGraph([0, 0, 1, 1, 0], [1, 2, 2, 4, 3], [[0]] * 5, d=4)
-    counts = priority_counts(g)
+    counts = g.priority_counts()
     assert counts.odd == 2
     assert counts.even == 3
 
     g_even = GameGraph([0, 1], [2, 4], [[1], [0]], d=4)
-    assert priority_counts(g_even).odd == 0
+    assert g_even.priority_counts().odd == 0
 
     # bound is tight for a half-odd half-even game
     g_half = GameGraph([0] * 6, [1, 1, 1, 2, 2, 2], [[0]] * 6, d=2)
-    c = priority_counts(g_half)
+    c = g_half.priority_counts()
     assert min(c.odd, c.even) == 3 == g_half.n // 2
 
 

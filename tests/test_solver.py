@@ -5,27 +5,19 @@ from bisect import bisect_left
 
 import pytest
 
-from pgtrees import (
-    EVEN,
-    ODD,
-    GameError,
-    GameGraph,
+from pgtrees.game import EVEN, ODD, GameError, GameGraph, random_game
+from pgtrees.solver import (
+    LeafRanks,
     Measure,
     brute_force_solve,
     edge_consistent,
-    leaf_count,
     lift,
     live_levels,
-    prefix_length,
-    priority_counts,
-    random_game,
     solve,
-    universal_tree,
     vertex_consistent,
-    with_stop_branches,
     zielonka,
 )
-from pgtrees.solver import LeafRanks
+from pgtrees.trees import leaf_count, universal_tree, with_stop_branches
 
 
 def seeded_games(count, n_range, d_choices, seed):
@@ -39,23 +31,16 @@ def seeded_games(count, n_range, d_choices, seed):
 # -- prefix lengths ----------------------------------------------------------
 
 
-def test_prefix_length_even_measure():
-    assert [prefix_length(p, EVEN, 4) for p in (4, 3, 2, 1)] == [0, 1, 1, 2]
-    assert prefix_length(2, EVEN, 2) == 0
+def test_measure_k_even_measure():
+    g = GameGraph([EVEN] * 4, [4, 3, 2, 1], [[0]] * 4, d=4)
+    assert Measure(g, EVEN, LeafRanks(1, 2)).k == (0, 1, 1, 2)
+    g2 = GameGraph([EVEN] * 2, [2, 1], [[0]] * 2, d=2)
+    assert Measure(g2, EVEN, LeafRanks(1, 1)).k == (0, 1)
 
 
-def test_prefix_length_odd_measure():
-    assert prefix_length(4, ODD, 4) == 1
-    assert prefix_length(1, ODD, 4) == 2
-
-
-def test_prefix_length_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        prefix_length(5, EVEN, 4)
-    with pytest.raises(ValueError):
-        prefix_length(0, ODD, 4)
-    with pytest.raises(ValueError):
-        prefix_length(1, EVEN, 3)
+def test_measure_k_odd_measure():
+    g = GameGraph([EVEN] * 4, [4, 3, 2, 1], [[0]] * 4, d=4)
+    assert Measure(g, ODD, LeafRanks(1, 2)).k == (1, 1, 2, 2)
 
 
 def test_live_levels():
@@ -205,7 +190,7 @@ def test_lift_self_loop_examples():
 def test_lift_never_decreases_on_random_states():
     rng = random.Random(23)
     for g in seeded_games(150, (1, 8), (2, 4, 6), seed=8):
-        counts = priority_counts(g)
+        counts = g.priority_counts()
         player = EVEN if counts.odd <= counts.even else ODD
         ranks = solve(g).measure.ranks
         mu = Measure(g, player, ranks)
@@ -334,7 +319,7 @@ def test_fixpoint_is_locally_consistent():
 def test_stats_fields():
     g = random_game(8, 4, (1, 3), seed=9)
     r = solve(g)
-    counts = priority_counts(g)
+    counts = g.priority_counts()
     assert r.stats.player in (EVEN, ODD)
     assert r.stats.eta == min(counts.odd, counts.even)
     assert r.stats.tree_width == r.measure.ranks.width == r.measure.top

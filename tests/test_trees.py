@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from pgtrees import (
+from pgtrees.trees import (
     OrderedTree,
     embeds,
     enumerate_trees,
@@ -14,9 +14,9 @@ from pgtrees import (
     leaf_count,
     universal_tree,
     verify_universal,
-    width_recursive,
     with_stop_branches,
 )
+from pgtrees.widths import width_recursive
 
 # -- independent oracles -----------------------------------------------------
 

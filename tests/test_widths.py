@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pgtrees import (
+from pgtrees.widths import (
     CSV_HEADER,
     bound_binomial,
     bound_exponential,
