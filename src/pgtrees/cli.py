@@ -10,9 +10,9 @@ import argparse
 import sys
 import time
 
-from .game import ParseError, parse_pgsolver, random_game, serialize_pgsolver
+from .game import parse_pgsolver, random_game, serialize_pgsolver
 from .solver import format_regions, solve, zielonka
-from .trees import OrderedTree, enumerate_trees, find_counterexample, leaf_count, universal_tree
+from .trees import OrderedTree, embeds, enumerate_trees, leaf_count, universal_tree
 from .widths import width_report
 
 VERIFY_N_GUARD = 6
@@ -37,17 +37,8 @@ def _degree(text: str) -> tuple[int, int]:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        with open(args.path, "rb") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        g = parse_pgsolver(text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.path, "rb") as fh:
+        g = parse_pgsolver(fh.read())
     result = solve(g)
     sys.stdout.write(
         format_regions(result.regions, result.stats if args.verbose else None)
@@ -62,11 +53,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_widths(args) -> int:
     table = width_report(_int_list(args.n), _int_list(args.heights))
-    try:
-        _write(args.out, table.to_csv())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _write(args.out, table.to_csv())
     return 0
 
 
@@ -75,35 +62,29 @@ def _cmd_verify_universal(args) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     if (n > VERIFY_N_GUARD or h > VERIFY_H_GUARD) and not args.force:
-        print(
-            f"error: exhaustive check guarded to n <= {VERIFY_N_GUARD}, "
-            f"h <= {VERIFY_H_GUARD}; pass --force to override",
-            file=sys.stderr,
+        raise ValueError(
+            f"exhaustive check guarded to n <= {VERIFY_N_GUARD}, "
+            f"h <= {VERIFY_H_GUARD}; pass --force to override"
         )
-        return 2
     if args.tree is not None:
         tree = OrderedTree.from_text(args.tree)
         if tree.height != h:
-            print(f"error: --tree has height {tree.height}, expected {h}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--tree has height {tree.height}, expected {h}")
     else:
         tree = universal_tree(n, h)
-    counterexample = find_counterexample(tree, n)
-    if counterexample is not None:
-        print(f"NOT UNIVERSAL: counterexample {counterexample.to_text()}")
-        return 3
-    checked = sum(1 for _ in enumerate_trees(h, n))
+    checked = 0
+    for candidate in enumerate_trees(h, n):
+        if not embeds(candidate, tree):
+            print(f"NOT UNIVERSAL: counterexample {candidate.to_text()}")
+            return 3
+        checked += 1
     print(f"UNIVERSAL (width={leaf_count(tree)}, trees checked={checked})")
     return 0
 
 
 def _cmd_gen(args) -> int:
     g = random_game(args.n, args.d, _degree(args.degree), seed=args.seed)
-    try:
-        _write(args.out, serialize_pgsolver(g))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _write(args.out, serialize_pgsolver(g))
     return 0
 
 
@@ -121,11 +102,7 @@ def _cmd_bench(args) -> int:
                 f"{args.n},{d},{seed},{s.eta},{s.tree_width},"
                 f"{s.lifts},{s.changes},{wall:.6g}"
             )
-    try:
-        _write(args.out, "\n".join(rows) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _write(args.out, "\n".join(rows) + "\n")
     return 0
 
 
@@ -175,8 +152,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:
+        # reading the game or writing any output
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
-        # malformed numeric lists, tree texts, or generator parameters
+        # parse errors, guard violations, malformed lists, trees or parameters
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

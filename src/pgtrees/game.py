@@ -51,7 +51,7 @@ class GameGraph:
         owners: Iterable[int],
         priorities: Iterable[int],
         successors: Iterable[Iterable[int]],
-        d: int | None = None,
+        d: int,
     ):
         owner = tuple(owners)
         priority = tuple(priorities)
@@ -61,9 +61,6 @@ class GameGraph:
             raise GameError("a game needs at least one vertex")
         if len(priority) != n or len(succ) != n:
             raise GameError("owner, priority and successor sequences differ in length")
-        if d is None:
-            top = max(priority)
-            d = top + (top % 2)
         if d < 2 or d % 2 != 0:
             raise GameError(f"d must be a positive even number, got {d}")
         for v in range(n):
@@ -131,51 +128,41 @@ def normalize_priorities(raw: Sequence[int]) -> tuple[list[int], int]:
 # One vertex record: id, priority, owner, comma separated successors and an
 # optional quoted name.  The ';' terminator is stripped before matching.
 _VERTEX_RE = re.compile(
-    r"^\s*(\d+)\s+(\d+)\s+([01])(?:\s+(\d+(?:\s*,\s*\d+)*))?\s*(?:\"[^\"]*\")?\s*$"
+    r"\s*(\d+)\s+(\d+)\s+([01])(?:\s+(\d+(?:\s*,\s*\d+)*))?\s*(?:\"[^\"]*\")?\s*"
 )
-_HEADER_RE = re.compile(r"^\s*parity\s+(\d+)\s*$")
+_HEADER_RE = re.compile(r"\s*parity\s+(\d+)\s*")
+# A '--' comment to the end of the line, a quoted name (closed by its quote
+# or by the end of its line; ';' and '--' are literal inside), a terminator,
+# a run of other text, or a lone dash.
+_TOKEN_RE = re.compile(r'--[^\n]*|"[^"\n]*"?|;|[^-";]+|-')
 
 
-def _split_records(text: str) -> list[tuple[str, int, int]]:
-    """Split on ';' terminators, tracking the line/column of each record.
+def _where(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
-    '--' starts a comment running to the end of the line, except inside a
-    quoted vertex name.
+
+def _records(text: str) -> list[tuple[str, int]]:
+    """Split on ';' into (record text without comments, offset) pairs.
+
+    The offset is that of the record's first non-blank character, or of
+    its ';' when it has none.
     """
     records = []
-    buf: list[str] = []
-    start: tuple[int, int] | None = None
-    line, col = 1, 0
-    in_quote = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            in_quote = False
-            buf.append(" ")
-            i += 1
-            continue
-        col += 1
-        if not in_quote and ch == "-" and text[i + 1 : i + 2] == "-":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            in_quote = not in_quote
-        if ch == ";" and not in_quote:
-            records.append(("".join(buf), *(start or (line, col))))
-            buf = []
+    parts: list[str] = []
+    start: int | None = None
+    for m in _TOKEN_RE.finditer(text):
+        token = m.group()
+        if token == ";":
+            records.append(("".join(parts), m.start() if start is None else start))
+            parts = []
             start = None
-            i += 1
-            continue
-        if start is None and not ch.isspace():
-            start = (line, col)
-        buf.append(ch)
-        i += 1
-    if start is not None and "".join(buf).strip():
-        raise ParseError("record is not terminated by ';'", *start)
+        elif not token.startswith("--"):
+            if start is None and not token.isspace():
+                start = m.start() + len(token) - len(token.lstrip())
+            parts.append(token)
+    if start is not None:
+        raise ParseError("record is not terminated by ';'", *_where(text, start))
     return records
 
 
@@ -188,39 +175,33 @@ def parse_pgsolver(text: str | bytes) -> GameGraph:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    records = _split_records(text)
-    idx = 0
-    if records:
-        first = records[0][0].lstrip()
-        if first.startswith("parity"):
-            if not _HEADER_RE.match(records[0][0]):
-                raise ParseError("malformed 'parity' header", records[0][1], records[0][2])
-            idx = 1
-    order: list[int] = []
-    decl: dict[int, tuple[int, int, list[int], int, int]] = {}
-    for chunk, line, col in records[idx:]:
-        m = _VERTEX_RE.match(chunk)
+    records = _records(text)
+    if records and records[0][0].lstrip().startswith("parity"):
+        header, pos = records.pop(0)
+        if not _HEADER_RE.fullmatch(header):
+            raise ParseError("malformed 'parity' header", *_where(text, pos))
+    decl: dict[int, tuple[int, int, list[int], int]] = {}
+    for chunk, pos in records:
+        m = _VERTEX_RE.fullmatch(chunk)
         if not m:
-            raise ParseError("cannot parse vertex record", line, col)
-        vid = int(m.group(1))
-        prio = int(m.group(2))
-        owner = int(m.group(3))
+            raise ParseError("cannot parse vertex record", *_where(text, pos))
+        vid, prio, owner, succs = m.groups()
+        vid = int(vid)
         if vid in decl:
-            raise ParseError(f"duplicate vertex id {vid}", line, col)
-        if m.group(4) is None:
-            raise ParseError(f"vertex {vid} has no successors", line, col)
-        succs = [int(s) for s in m.group(4).replace(" ", "").replace("\t", "").split(",")]
-        decl[vid] = (prio, owner, succs, line, col)
-        order.append(vid)
-    if not order:
+            raise ParseError(f"duplicate vertex id {vid}", *_where(text, pos))
+        if succs is None:
+            raise ParseError(f"vertex {vid} has no successors", *_where(text, pos))
+        decl[vid] = (int(prio), int(owner), [int(s.strip()) for s in succs.split(",")], pos)
+    if not decl:
         raise ParseError("no vertex records found")
-    index = {vid: i for i, vid in enumerate(order)}
+    index = {vid: i for i, vid in enumerate(decl)}
     owners, raw_prios, succ_lists = [], [], []
-    for vid in order:
-        prio, owner, succs, line, col = decl[vid]
+    for vid, (prio, owner, succs, pos) in decl.items():
         for s in succs:
             if s not in index:
-                raise ParseError(f"vertex {vid} references undeclared successor {s}", line, col)
+                raise ParseError(
+                    f"vertex {vid} references undeclared successor {s}", *_where(text, pos)
+                )
         owners.append(owner)
         raw_prios.append(prio)
         succ_lists.append([index[s] for s in succs])
@@ -257,6 +238,8 @@ def random_game(
     lo, hi = out_degree
     if lo < 1:
         raise GameError("out-degree lower bound must be at least 1")
+    if lo > hi:
+        raise GameError(f"out-degree range {lo}:{hi} is reversed")
     hi = min(hi, n)
     lo = min(lo, hi)
     rng = random.Random(seed)

@@ -147,6 +147,10 @@ def test_malformed_arguments_exit_2(capsys):
     code, _, err = run(["verify-universal", "0", "1"], capsys)
     assert code == 2
     assert err == "error: n must be positive\n"
+    code, out, err = run(["gen", "4", "2", "--degree", "3:1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out-degree range 3:1 is reversed\n"
 
 
 def test_bench_csv(tmp_path, capsys):

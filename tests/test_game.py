@@ -40,6 +40,15 @@ def test_parse_accepts_bytes_names_and_comments():
     assert g.n == 3
     assert g.succ[0] == (1, 2)
     assert g.priority == (4, 3, 2)
+    # ';' and '--' are literal inside a quoted name; a record may span lines
+    g = parse_pgsolver('0 4 0 1,2 "a;b--c";\n1 3 -- split\n 1 1;\n2 2 0 0;')
+    assert g.owner == (0, 1, 0)
+    assert g.priority == (4, 3, 2)
+    assert g.succ == ((1, 2), (1,), (0,))
+    # any whitespace the record syntax allows may surround a successor,
+    # including U+001C..U+001F, which int() alone does not strip
+    g = parse_pgsolver("0 2 0 0\x1c,\u30001\x1f;\n1 1 1 0;")
+    assert g.succ == ((0, 1), (0,))
 
 
 def test_parse_remaps_sparse_ids_in_declaration_order():
@@ -65,8 +74,25 @@ def test_parse_undeclared_successor_rejected():
 
 
 def test_parse_syntax_error_reports_location():
-    with pytest.raises(ParseError, match=r"line 2"):
-        parse_pgsolver("parity 1;\nnot a vertex;\n")
+    # each message carries the line and column of the record's first non-blank character
+    cases = [
+        ("parity 1;\nnot a vertex;\n", "cannot parse vertex record (line 2, column 1)"),
+        ("parity x;\n0 1 0 0;", "malformed 'parity' header (line 1, column 1)"),
+        ("parity 1;\n0 1 0 0;\n  1 2 1;\n", "vertex 1 has no successors (line 3, column 3)"),
+        ("parity 1;\n0 1 0 0;\n0 2 1 0;", "duplicate vertex id 0 (line 3, column 1)"),
+        (
+            "parity 1;\n0 1 0 0;\n  1 2 0 7;",
+            "vertex 1 references undeclared successor 7 (line 3, column 3)",
+        ),
+        ("0 1 0 0;\n\t1 2 0 0", "record is not terminated by ';' (line 2, column 2)"),
+        # an unclosed quote ends at the end of its line
+        ('0 1 0 0 "open;\n;', "cannot parse vertex record (line 1, column 1)"),
+        ("-- only a comment\n", "no vertex records found"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as info:
+            parse_pgsolver(text)
+        assert str(info.value) == message, text
 
 
 def test_parse_missing_terminator():
