@@ -45,7 +45,13 @@ coordinates.
 Labels start at the least leaf and only ever increase toward TOP, so
 iterating the local repair `lift` to a fixpoint yields the least
 solution; the measured player wins exactly the vertices that end below
-TOP.  The fixpoint is independent of the worklist policy, which is
+TOP.  A lift at v reads only v's successors, so the worklist takes the
+strongly connected components sinks first (`_components`) and lifts
+each to its fixpoint before the next: a component starts only once
+every component it can reach is final, and none of its vertices is
+lifted while those still climb.  Lifting is a chaotic iteration of a
+monotone operator, so neither this order nor the worklist policy inside
+a component changes the fixpoint, only the lift counts; the policy is
 therefore configurable for testing.
 
 `zielonka` (recursive attractor decomposition) and `brute_force_solve`
@@ -207,7 +213,13 @@ class Measure:
         # k(p) = number of live levels with priority >= p
         self.k = tuple(len(levels) - bisect_left(levels, p) for p in g.priority)
         self.strict = tuple(p % 2 == opp_parity for p in g.priority)
-        self.target = [self.fresh_target(w) for w in range(g.n)]
+        # every value starts at the least leaf 0, the root's stop branch,
+        # a block of its own at every depth k >= 1: an edge into a vertex
+        # at 0 admits 0, or strictly 1 (TOP at k = 0)
+        self.target = [
+            (1 if k else self.top) if strict else 0
+            for k, strict in zip(self.k, self.strict)
+        ]
 
     def fresh_target(self, w: int) -> int:
         """Least value an edge into w admits, computed from ``values[w]``.
@@ -252,49 +264,104 @@ def lift(g: GameGraph, mu: Measure, v: int) -> int:
     return best if best > old else old
 
 
-def _run_worklist(g: GameGraph, mu: Measure, policy: str, seed: int) -> tuple[int, int]:
+def _components(g: GameGraph) -> list[list[int]]:
+    """Strongly connected components of g, sinks first, each sorted.
+
+    Every edge stays inside its component or enters an earlier one, so a
+    component comes before every component that can reach it.  This is
+    Tarjan's algorithm with an explicit stack of successor iterators, so
+    long paths need no Python recursion.  A vertex is numbered by its
+    position on the component stack, which is where its component starts
+    if it turns out to be the root; ``low[v]`` is -1 before v is found and
+    n once its component is out, above every position.
+    """
     n = g.n
+    succ = g.succ
+    low = [-1] * n
+    stack: list[int] = []
+    components = []
+    for root in range(n):
+        if low[root] >= 0:
+            continue
+        low[root] = 0
+        stack.append(root)
+        frames = [(root, iter(succ[root]), 0)]
+        while frames:
+            v, successors, pos = frames[-1]
+            lv = low[v]
+            for w in successors:
+                lw = low[w]
+                if lw < 0:
+                    low[w] = lw = len(stack)
+                    frames.append((w, iter(succ[w]), lw))
+                    stack.append(w)
+                    break
+                if lw < lv:
+                    low[v] = lv = lw
+            else:
+                frames.pop()
+                if lv < pos:
+                    u = frames[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+                elif pos == len(stack) - 1:
+                    stack.pop()
+                    low[v] = n
+                    components.append([v])
+                else:
+                    component = stack[pos:]
+                    del stack[pos:]
+                    for w in component:
+                        low[w] = n
+                    component.sort()
+                    components.append(component)
+    return components
+
+
+def _run_worklist(g: GameGraph, mu: Measure, policy: str, seed: int) -> tuple[int, int]:
     preds = g.preds
     values = mu.values
-    queued = [True] * n
+    # a vertex waiting for its component's turn counts as queued, so no
+    # change below it pushes it early
+    queued = [True] * g.n
     lifts = changes = 0
     if policy == "fifo":
-        queue = deque(range(n))
+        queue = deque()
         pop = queue.popleft
-        push = queue.append
     elif policy == "lifo":
-        queue = list(range(n))
+        queue = []
         pop = queue.pop
-        push = queue.append
     elif policy == "random":
         rng = random.Random(seed)
-        queue = list(range(n))
+        queue = []
 
         def pop():
             i = rng.randrange(len(queue))
             queue[i], queue[-1] = queue[-1], queue[i]
             return queue.pop()
 
-        push = queue.append
     else:
         raise ValueError(
             f"unknown worklist policy {policy!r}; expected one of {WORKLIST_POLICIES}"
         )
-    while queue:
-        v = pop()
-        queued[v] = False
-        lifts += 1
-        new = lift(g, mu, v)
-        old = values[v]
-        if new != old:
-            if not old < new:
-                raise AssertionError("lift tried to decrease a value")
-            mu.set(v, new)
-            changes += 1
-            for u in preds[v]:
-                if not queued[u]:
-                    queued[u] = True
-                    push(u)
+    push = queue.append
+    for component in _components(g):
+        queue.extend(component)
+        while queue:
+            v = pop()
+            queued[v] = False
+            lifts += 1
+            new = lift(g, mu, v)
+            old = values[v]
+            if new != old:
+                if not old < new:
+                    raise AssertionError("lift tried to decrease a value")
+                mu.set(v, new)
+                changes += 1
+                for u in preds[v]:
+                    if not queued[u]:
+                        queued[u] = True
+                        push(u)
     return lifts, changes
 
 
@@ -311,8 +378,8 @@ def solve(
     (ties to Even), so the tree size parameter is eta = min of the two
     counts.  ``full_tree=True`` sizes the tree by n instead, for
     cross-checking that the smaller tree loses nothing.  ``worklist``
-    picks the fixpoint scheduling policy; the result is the same for all
-    of them, only the lift counts differ.
+    picks the scheduling policy inside each strongly connected component;
+    the result is the same for all of them, only the lift counts differ.
     """
     counts = g.priority_counts()
     player = EVEN if counts.odd <= counts.even else ODD

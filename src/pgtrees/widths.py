@@ -2,15 +2,15 @@
 
 All counting is done in exact integer arithmetic (Python ints); floats
 appear only in the exponential bound and the ratio columns of the report.
-Everything here is a pure function; the recursion memo is an lru_cache,
-which concurrent readers can share safely.
+Everything here is a pure function.  `width_recursive` keeps one table of
+widths per size, shared by all callers and extended under a lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 # exponent constant for the exponential bound: 1 + log2(e) ~= 2.4427
@@ -29,25 +29,44 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-@lru_cache(maxsize=None)
+# _WIDTHS[m][t] == width_recursive(m, t) for m >= 1.  A row is never longer
+# than the rows of the sizes grafted below it.
+_WIDTHS: dict[int, list[int]] = {}
+_WIDTHS_LOCK = threading.Lock()
+
+
 def width_recursive(n: int, h: int) -> int:
     """Width of universal_tree(n, h) by its defining recursion.
 
     Bases: 0 for n = 0, 1 for h = 0 (and n >= 1).  Otherwise the sum of
     the widths of the three grafted parts: a height-reduced middle and
-    the two halves n//2 and n-1-n//2 at full height.
+    the two halves n//2 and n-1-n//2 at full height.  Evaluated bottom-up
+    over the heights, so a large h needs no deep Python recursion.
     """
     if n < 0 or h < 0:
         raise ValueError("n and h must be nonnegative")
     if n == 0:
         return 0
-    if h == 0:
-        return 1
-    return (
-        width_recursive(n, h - 1)
-        + width_recursive(n // 2, h)
-        + width_recursive(n - 1 - n // 2, h)
-    )
+    row = _WIDTHS.get(n, ())
+    if h < len(row):
+        return row[h]  # rows only ever grow, so reading one needs no lock
+    with _WIDTHS_LOCK:
+        rows = _WIDTHS
+        # the sizes whose rows stop below height h, found from n downward
+        short, stack = set(), [n]
+        while stack:
+            m = stack.pop()
+            if m and m not in short and len(rows.get(m, ())) <= h:
+                short.add(m)
+                stack += (m // 2, m - 1 - m // 2)
+        zeros = [0] * (h + 1)
+        for m in sorted(short):  # halves are smaller, so their rows are ready
+            row = rows.setdefault(m, [1])
+            left = rows.get(m // 2, zeros)
+            right = rows.get(m - 1 - m // 2, zeros)
+            for t in range(len(row), h + 1):
+                row.append(row[t - 1] + left[t] + right[t])
+        return rows[n][h]
 
 
 def width_closed_form(n: int, h: int) -> int:

@@ -80,6 +80,12 @@ def test_widths_file_and_old_gap(tmp_path, capsys):
     assert row[:5] == ["5", "9", "109", "225", "1320"]
 
 
+def test_widths_deep_height(capsys):
+    code, out, err = run(["widths", "--n", "3", "--h", "500"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("3,500,")
+
+
 def test_widths_unwritable(tmp_path, capsys):
     code, _, err = run(
         ["widths", "--n", "3", "--h", "2", "--out", str(tmp_path / "no" / "w.csv")],

@@ -9,8 +9,10 @@ from pgtrees.game import EVEN, ODD, GameError, GameGraph, random_game
 from pgtrees.solver import (
     LeafRanks,
     Measure,
+    _components,
     brute_force_solve,
     edge_consistent,
+    leaf_ranks,
     lift,
     live_levels,
     solve,
@@ -148,6 +150,53 @@ def test_target_cache_matches_values():
         for policy in ("fifo", "lifo", "random"):
             mu = solve(g, worklist=policy, seed=i).measure
             assert mu.target == [mu.fresh_target(w) for w in range(g.n)]
+        # and so would a wrong first target, before any lift
+        start = Measure(g, mu.player, mu.ranks)
+        assert start.target == [start.fresh_target(w) for w in range(g.n)]
+
+
+# -- strongly connected components -------------------------------------------
+
+
+def reachable(g, v):
+    seen, stack = {v}, [v]
+    while stack:
+        for w in g.succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def test_components_are_mutual_reachability_classes_sinks_first():
+    games = 0
+    for g in seeded_games(600, (1, 12), (2, 4, 6), seed=83):
+        components = _components(g)
+        assert sorted(v for c in components for v in c) == list(range(g.n))
+        reach = [reachable(g, v) for v in range(g.n)]
+        position = {}
+        for i, c in enumerate(components):
+            assert c == sorted(c)
+            for v in c:
+                position[v] = i
+                assert set(c) == {w for w in reach[v] if v in reach[w]}
+        for v in range(g.n):
+            for w in g.succ[v]:
+                assert position[w] <= position[v]
+        games += len(components) not in (1, g.n)
+    assert games >= 100  # many games mix cyclic and acyclic parts
+
+
+def test_solve_long_path_without_recursion():
+    # far deeper than the recursion limit; each vertex is its own component
+    # and is final after one lift, its successor being final already
+    n = 20_000
+    succ = [[v + 1] for v in range(n - 1)] + [[n - 1]]
+    g = GameGraph([EVEN] * n, [v % 4 + 1 for v in range(n)], succ, d=4)
+    assert len(_components(g)) == n
+    r = solve(g)
+    assert r.regions.even == frozenset(range(n))
+    assert r.stats.lifts == n
 
 
 # -- edge condition and lift on explicit states ------------------------------
@@ -287,13 +336,48 @@ def test_small_tree_equals_full_tree():
             assert full.stats.tree_width > small.stats.tree_width
 
 
+def round_robin_values(g):
+    """The paper's plain lifting: sweep every vertex in order, lifting each,
+    until a whole sweep changes nothing.  No worklist, no components."""
+    counts = g.priority_counts()
+    player = EVEN if counts.odd <= counts.even else ODD
+    mu = Measure(g, player, leaf_ranks(max(min(counts.odd, counts.even), 1), g.d // 2))
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            new = lift(g, mu, v)
+            if new != mu.values[v]:
+                mu.set(v, new)
+                changed = True
+    return mu.values
+
+
 def test_worklist_policies_reach_same_fixpoint():
-    for i, g in enumerate(seeded_games(60, (1, 10), (2, 4, 6), seed=13)):
+    for i, g in enumerate(seeded_games(300, (1, 10), (2, 4, 6), seed=13)):
         fifo = solve(g, worklist="fifo")
         lifo = solve(g, worklist="lifo")
         rand = solve(g, worklist="random", seed=i)
-        assert fifo.measure.values == lifo.measure.values == rand.measure.values
+        expected = round_robin_values(g)
+        assert fifo.measure.values == lifo.measure.values == rand.measure.values == expected
         assert fifo.regions == lifo.regions == rand.regions
+
+
+def test_lift_count_ignores_successor_order():
+    # components are sorted, so the order of a successor list, which steers
+    # the component search, cannot reach the queue; the random policy's
+    # draws do depend on the order of the components, so it is left out
+    rng = random.Random(61)
+    for g in seeded_games(300, (1, 12), (2, 4, 6, 8), seed=59):
+        shuffled = [list(s) for s in g.succ]
+        for s in shuffled:
+            rng.shuffle(s)
+        h = GameGraph(g.owner, g.priority, shuffled, d=g.d)
+        for policy in ("fifo", "lifo"):
+            a, b = solve(g, worklist=policy), solve(h, worklist=policy)
+            assert a.stats.lifts == b.stats.lifts
+            assert a.stats.changes == b.stats.changes
+            assert a.measure.values == b.measure.values
 
 
 def test_unknown_worklist_rejected():

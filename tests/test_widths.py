@@ -55,6 +55,12 @@ def test_recursion_matches_naive():
             assert width_recursive(n, h) == naive_width(n, h, memo)
 
 
+def test_recursion_deep_height():
+    # a height far past the recursion limit
+    assert width_recursive(3, 500) == width_closed_form(3, 500)
+    assert width_recursive(500, 500) == width_closed_form(500, 500)
+
+
 def test_closed_form_hand_values():
     # 1 + 2*2 and 1 + 4 + 1*3
     assert width_closed_form(3, 2) == 5
