@@ -54,6 +54,23 @@ monotone operator, so neither this order nor the worklist policy inside
 a component changes the fixpoint, only the lift counts; the policy is
 therefore configurable for testing.
 
+Which measure is cheap depends on the game more than on eta: vertices
+the measured player loses climb all the way to TOP, while those it wins
+stay low.  So `solve` races the two players' measures, each over the
+tree sized by its own opponent's vertex count (eta for the measured
+player, n - eta for the other).  The measured run goes first, in slices
+of SLICE lifts; a game it finishes within one slice never starts the
+other run.  Otherwise the two take turns, one slice each, and the first
+to reach its fixpoint decides, since either fixpoint gives both regions.
+When the opponent finishes first, the vertices it wins are set to TOP
+in the measured player's measure and that run lifts to its fixpoint
+once more.  TOP is their value in the least fixpoint, and the partial
+run's values lie below it too, so lifting from there reaches the same
+least fixpoint; as a vertex at TOP is never lifted, the second run works
+only on the measured player's winning region.  SLICE is a fixed constant:
+a switch costs one generator resume, and a game whose measured run
+needs at most SLICE lifts never pays for the other run.
+
 `zielonka` (recursive attractor decomposition) and `brute_force_solve`
 (positional strategy enumeration) are independent oracles used to
 cross-validate `solve`.
@@ -71,6 +88,8 @@ from functools import lru_cache
 from .game import EVEN, ODD, GameError, GameGraph
 
 WORKLIST_POLICIES = ("fifo", "lifo", "random")
+# lifts a worklist run makes before it yields to the other player's run
+SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -88,8 +107,9 @@ class SolveStats:
     player: int          # measured player
     eta: int             # min(#odd-priority, #even-priority) vertices
     tree_width: int      # leaves of the tree actually used
-    lifts: int           # lift applications (worklist pops)
-    changes: int         # lifts that increased a value
+    lifts: int           # calls of `lift`, summed over both players' runs
+    changes: int         # lifts that increased a value, summed likewise
+    decided_by: int      # player whose measure reached its fixpoint first
 
 
 @dataclass
@@ -318,13 +338,22 @@ def _components(g: GameGraph) -> list[list[int]]:
     return components
 
 
-def _run_worklist(g: GameGraph, mu: Measure, policy: str, seed: int) -> tuple[int, int]:
+def _worklist(
+    g: GameGraph, mu: Measure, components: list, policy: str, seed: int, counts: list
+):
+    """Lift mu to its least fixpoint above its current values.
+
+    A generator that pauses (yields) before the lift after every SLICE
+    lifts and ends at the fixpoint; it keeps its queue and component
+    cursor in between.  ``counts`` is ``[lifts, changes]`` and gains this
+    run's share at every pause and at the end, so runs may share one.
+    """
     preds = g.preds
     values = mu.values
+    top = mu.top
     # a vertex waiting for its component's turn counts as queued, so no
     # change below it pushes it early
     queued = [True] * g.n
-    lifts = changes = 0
     if policy == "fifo":
         queue = deque()
         pop = queue.popleft
@@ -345,14 +374,22 @@ def _run_worklist(g: GameGraph, mu: Measure, policy: str, seed: int) -> tuple[in
             f"unknown worklist policy {policy!r}; expected one of {WORKLIST_POLICIES}"
         )
     push = queue.append
-    for component in _components(g):
+    lifts = changes = 0
+    for component in components:
         queue.extend(component)
         while queue:
             v = pop()
             queued[v] = False
+            old = values[v]
+            if old == top:
+                continue  # nothing lies above TOP, so its lift would be a no-op
+            if lifts == SLICE:
+                counts[0] += lifts
+                counts[1] += changes
+                lifts = changes = 0
+                yield
             lifts += 1
             new = lift(g, mu, v)
-            old = values[v]
             if new != old:
                 if not old < new:
                     raise AssertionError("lift tried to decrease a value")
@@ -362,7 +399,13 @@ def _run_worklist(g: GameGraph, mu: Measure, policy: str, seed: int) -> tuple[in
                     if not queued[u]:
                         queued[u] = True
                         push(u)
-    return lifts, changes
+    counts[0] += lifts
+    counts[1] += changes
+
+
+def _finished(run) -> bool:
+    # one more slice of a `_worklist` run; True once it is at its fixpoint
+    return next(run, True) is True
 
 
 def solve(
@@ -380,14 +423,40 @@ def solve(
     cross-checking that the smaller tree loses nothing.  ``worklist``
     picks the scheduling policy inside each strongly connected component;
     the result is the same for all of them, only the lift counts differ.
+
+    When the measured player's run needs more than one slice of SLICE
+    lifts, the opponent's measure (sized by n - eta, or by n under
+    ``full_tree``) races it, one slice each in turn.  If the opponent
+    reaches its fixpoint first, its winning region goes to TOP in the
+    measured player's measure, which stays below that measure's least
+    fixpoint, and one more run lifts it there.  So ``measure``, ``player``
+    and ``tree_width`` are the measured player's whichever side decided;
+    ``stats.decided_by`` names that side, and the lift and change counts
+    add up both runs.
     """
     counts = g.priority_counts()
     player = EVEN if counts.odd <= counts.even else ODD
     eta = min(counts.odd, counts.even)
-    size = g.n if full_tree else max(eta, 1)
-    ranks = leaf_ranks(size, g.d // 2)
+    height = g.d // 2
+    ranks = leaf_ranks(g.n if full_tree else max(eta, 1), height)
     mu = Measure(g, player, ranks)
-    lifts, changes = _run_worklist(g, mu, worklist, seed)
+    components = _components(g)
+    tally = [0, 0]
+    run = _worklist(g, mu, components, worklist, seed, tally)
+    decided_by = player
+    if not _finished(run):
+        rival = Measure(g, 1 - player, leaf_ranks(g.n if full_tree else g.n - eta, height))
+        rival_run = _worklist(g, rival, components, worklist, seed, tally)
+        while not _finished(rival_run):
+            if _finished(run):
+                break
+        else:
+            decided_by = rival.player
+            for v in range(g.n):
+                if rival.values[v] != rival.top:
+                    mu.set(v, mu.top)
+            for _ in _worklist(g, mu, components, worklist, seed, tally):
+                pass
     won = frozenset(v for v in range(g.n) if mu.values[v] != mu.top)
     lost = frozenset(range(g.n)) - won
     regions = (
@@ -399,8 +468,9 @@ def solve(
         player=player,
         eta=eta,
         tree_width=ranks.width,
-        lifts=lifts,
-        changes=changes,
+        lifts=tally[0],
+        changes=tally[1],
+        decided_by=decided_by,
     )
     return SolveResult(regions=regions, stats=stats, measure=mu)
 
@@ -543,10 +613,10 @@ def format_regions(regions: WinningRegions, stats: SolveStats | None = None) -> 
         "ODD:" + "".join(f" {v}" for v in sorted(regions.odd)),
     ]
     if stats is not None:
-        name = "EVEN" if stats.player == EVEN else "ODD"
+        names = {EVEN: "EVEN", ODD: "ODD"}
         lines.append(
-            f"stats: player={name} eta={stats.eta} "
+            f"stats: player={names[stats.player]} eta={stats.eta} "
             f"tree_width={stats.tree_width} lifts={stats.lifts} "
-            f"changes={stats.changes}"
+            f"changes={stats.changes} decided_by={names[stats.decided_by]}"
         )
     return "\n".join(lines) + "\n"

@@ -55,9 +55,21 @@ class OrderedTree:
                 yield (i,) + rest
 
     def to_text(self) -> str:
-        if not self.children:
-            return "."
-        return "(" + "".join(c.to_text() for c in self.children) + ")"
+        # preorder with an explicit stack, where None closes a node, so
+        # that height is not bounded by the interpreter's stack
+        parts = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                parts.append(")")
+            elif not node.children:
+                parts.append(".")
+            else:
+                parts.append("(")
+                stack.append(None)
+                stack.extend(reversed(node.children))
+        return "".join(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "OrderedTree":

@@ -28,6 +28,7 @@ def test_solve_verbose_stats(tmp_path, capsys):
     assert lines[0] == "EVEN: 0 1"
     assert lines[1] == "ODD:"
     assert lines[2].startswith("stats: player=")
+    assert lines[2].endswith(" decided_by=EVEN")
 
 
 def test_solve_parse_error_names_line(tmp_path, capsys):
@@ -153,6 +154,10 @@ def test_malformed_arguments_exit_2(capsys):
     code, _, err = run(["verify-universal", "0", "1"], capsys)
     assert code == 2
     assert err == "error: n must be positive\n"
+    code, out, err = run(["verify-universal", "1", "900", "--force"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: height 900 above the cap")
     code, out, err = run(["gen", "4", "2", "--degree", "3:1"], capsys)
     assert code == 2
     assert out == ""

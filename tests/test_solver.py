@@ -7,6 +7,7 @@ import pytest
 
 from pgtrees.game import EVEN, ODD, GameError, GameGraph, random_game
 from pgtrees.solver import (
+    SLICE,
     LeafRanks,
     Measure,
     _components,
@@ -189,14 +190,17 @@ def test_components_are_mutual_reachability_classes_sinks_first():
 
 def test_solve_long_path_without_recursion():
     # far deeper than the recursion limit; each vertex is its own component
-    # and is final after one lift, its successor being final already
+    # and is final after one lift, its successor being final already.  Even
+    # is measured and needs n lifts; Odd's run, which loses everywhere,
+    # takes one full slice after each of Even's n // SLICE full slices
     n = 20_000
     succ = [[v + 1] for v in range(n - 1)] + [[n - 1]]
     g = GameGraph([EVEN] * n, [v % 4 + 1 for v in range(n)], succ, d=4)
     assert len(_components(g)) == n
     r = solve(g)
     assert r.regions.even == frozenset(range(n))
-    assert r.stats.lifts == n
+    assert r.stats.lifts == n + (n // SLICE) * SLICE == 39_456
+    assert r.stats.decided_by == EVEN
 
 
 # -- edge condition and lift on explicit states ------------------------------
@@ -361,6 +365,23 @@ def test_worklist_policies_reach_same_fixpoint():
         expected = round_robin_values(g)
         assert fifo.measure.values == lifo.measure.values == rand.measure.values == expected
         assert fifo.regions == lifo.regions == rand.regions
+
+
+def test_race_keeps_the_measured_fixpoint():
+    # games of this size need more than one slice, so the opponent's
+    # measure races the measured one; whichever side finishes first, the
+    # returned measure is the measured player's least fixpoint
+    outcomes = {policy: set() for policy in ("fifo", "lifo", "random")}
+    for i, g in enumerate(seeded_games(30, (200, 300), (2,), seed=2)):
+        expected = round_robin_values(g)
+        regions = zielonka(g)
+        for policy, seen in outcomes.items():
+            r = solve(g, worklist=policy, seed=i)
+            assert r.measure.values == expected
+            assert r.regions == regions
+            if r.stats.lifts > SLICE:
+                seen.add(r.stats.decided_by == r.stats.player)
+    assert all(seen == {True, False} for seen in outcomes.values())
 
 
 def test_lift_count_ignores_successor_order():

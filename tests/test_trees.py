@@ -208,8 +208,11 @@ def test_from_text_error_messages():
 
 
 def test_from_text_deep_nesting():
-    # nesting far beyond the interpreter's recursion limit
-    assert OrderedTree.from_text("(" * 5000 + "." + ")" * 5000).height == 5000
+    # nesting far beyond the interpreter's recursion limit, both ways
+    text = "(" * 5000 + "." + ")" * 5000
+    tree = OrderedTree.from_text(text)
+    assert tree.height == 5000
+    assert tree.to_text() == text
     with pytest.raises(ValueError, match="unbalanced"):
         OrderedTree.from_text("(" * 5000 + "." + ")" * 4999)
 
