@@ -17,8 +17,8 @@ from .widths import width_report
 
 VERIFY_N_GUARD = 6
 VERIFY_H_GUARD = 3
-# building, enumerating and embedding trees recurse once or twice per
-# level; the cap leaves a margin below the default recursion limit
+# enumerating and embedding trees recurse twice per level; the cap
+# leaves a margin below the default recursion limit
 VERIFY_H_CAP = 400
 
 

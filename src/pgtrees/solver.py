@@ -3,12 +3,12 @@
 `solve` labels every vertex with a leaf of a working ordered tree or the
 sentinel TOP above all leaves.  The working tree is the compact
 universal tree sized by eta = min(#odd-priority, #even-priority)
-vertices (<= n // 2) at height d/2, with a leftmost "stop" branch padded
-below every internal node (`trees.with_stop_branches`).  Padding keeps
-the tree universal for the same width while giving every ancestor
-prefix its own least leaf, which is what lets unconstrained vertices
-rest low instead of being dragged upward; without it the eta-sized tree
-is too small in games where both players win somewhere.
+vertices (<= n // 2) at height d/2, padded with a leftmost "stop"
+branch, a single path down to one leaf, below every internal node.
+Padding keeps the tree universal for the same width while giving every
+ancestor prefix its own least leaf, which is what lets unconstrained
+vertices rest low instead of being dragged upward; without it the
+eta-sized tree is too small in games where both players win somewhere.
 
 The padded tree is fully determined by (eta, d/2), so it is never built.
 A leaf is its rank 0..W-1 in leaf order and TOP is W, the tree's width
@@ -17,9 +17,9 @@ owns a contiguous block of ranks, and "the length-k path prefix of a is
 >= (or >) that of b" reads "a >= the first rank (or the end) of b's
 depth-k block".  A non-blank node of size m has m + 1 children: the stop
 branch, one leaf wide, then padded subtrees of the sizes
-S(m) = S(m // 2) + (m,) + S(m - 1 - m // 2) that `trees.universal_tree`
-grafts below it.  Per-height tables of child offsets locate a rank's
-block with one bisection per level.
+`trees.subtree_sizes(m)`, the universal tree's own split rule.
+Per-height tables of child offsets locate a rank's block with one
+bisection per level.
 
 One side is the measured player: Even when odd-priority vertices are no
 more numerous than even-priority ones, Odd otherwise.  A vertex label
@@ -86,6 +86,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .game import EVEN, ODD, GameError, GameGraph
+from .trees import subtree_sizes
 
 WORKLIST_POLICIES = ("fifo", "lifo", "random")
 # lifts a worklist run makes before it yields to the other player's run
@@ -130,18 +131,13 @@ def live_levels(g: GameGraph, player: int) -> list[int]:
     return sorted({p for p in g.priority if p % 2 == opp_parity})
 
 
-def _subtree_sizes(m: int) -> tuple[int, ...]:
-    # S(m): sizes of the universal subtrees grafted below a size-m node
-    if m == 0:
-        return ()
-    return _subtree_sizes(m // 2) + (m,) + _subtree_sizes(m - 1 - m // 2)
-
-
 class LeafRanks:
-    """Leaf ranks of ``with_stop_branches(universal_tree(size, height))``.
+    """Leaf ranks of the padded universal tree of this size and height.
 
-    Leaves are numbered 0..width-1 in leaf order, and ``width`` doubles as
-    TOP.  A node is known by its size m: m >= 1 for a padded universal
+    The padded tree is ``universal_tree(size, height)`` with a stop
+    branch inserted as the leftmost child of every internal node.
+    Leaves are numbered 0..width-1 in leaf order, and ``width`` doubles
+    as TOP.  A node is known by its size m: m >= 1 for a padded universal
     subtree, 0 for a stop branch, which is a single path to one leaf.
     ``_levels[t][m]`` holds, for a size-m node of height t >= 1, the
     start offsets of its children followed by its width, and its
@@ -154,7 +150,7 @@ class LeafRanks:
         if size < 1 or height < 0:
             raise ValueError("size must be positive and height nonnegative")
         # S(size) holds size itself and, by induction, every size below it
-        kids = {m: (0,) + _subtree_sizes(m) for m in set(_subtree_sizes(size))}
+        kids = {m: (0,) + subtree_sizes(m) for m in set(subtree_sizes(size))}
         # widths at the height below the level being built; a stop
         # branch is one leaf wide at every height
         widths = dict.fromkeys([0, *kids], 1)

@@ -6,15 +6,13 @@ number of leaves.  Leaves are addressed by root-to-leaf child-index paths
 
 `universal_tree(n, h)` builds a tree of height h into which every ordered
 tree of height h and width at most n embeds; its width is exactly
-`widths.width_recursive(n, h)`.
+`widths.width_recursive(n, h)`.  Its shape is one split rule,
+`subtree_sizes`, which the solver's leaf ranks follow as well.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
-
-LeafPath = tuple  # tuple of child indices, one per level
 
 
 class OrderedTree:
@@ -44,15 +42,6 @@ class OrderedTree:
     @property
     def arity(self) -> int:
         return len(self.children)
-
-    def leaf_paths(self) -> Iterator[LeafPath]:
-        """All leaf paths in increasing (lexicographic) order."""
-        if not self.children:
-            yield ()
-            return
-        for i, child in enumerate(self.children):
-            for rest in child.leaf_paths():
-                yield (i,) + rest
 
     def to_text(self) -> str:
         # preorder with an explicit stack, where None closes a node, so
@@ -118,9 +107,17 @@ class OrderedTree:
             return True
         if not isinstance(other, OrderedTree):
             return NotImplemented
-        if self._hash != other._hash or self.width != other.width:
-            return False
-        return self.children == other.children
+        # node pairs on an explicit stack, so that height is not bounded
+        # by the interpreter's stack
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or a.width != b.width or a.arity != b.arity:
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self):
         return self._hash
@@ -134,53 +131,38 @@ def leaf_count(t: OrderedTree | None) -> int:
     return 0 if t is None else t.width
 
 
-@lru_cache(maxsize=None)
+def subtree_sizes(m: int) -> tuple[int, ...]:
+    """S(m): sizes of the universal subtrees below a size-m node, in order.
+
+    S(0) is empty and S(m) = S(m // 2) + (m,) + S(m - 1 - m // 2): the
+    children of the size-(m // 2) half, one child of size m a level
+    lower, then the children of the other half.  So a size-m node has m
+    children.  The recursion is over sizes, about log2(m) deep.
+    """
+    if m == 0:
+        return ()
+    return subtree_sizes(m // 2) + (m,) + subtree_sizes(m - 1 - m // 2)
+
+
 def universal_tree(n: int, h: int) -> OrderedTree | None:
     """Tree of height h embedding every ordered tree of height h, width <= n.
 
-    Recursive shape: the root's children are, left to right, the root
-    children of universal_tree(n//2, h), one fresh child carrying
-    universal_tree(n, h-1), and the root children of
-    universal_tree(n-1-n//2, h).  n=0 gives the empty tree (None), which
-    contributes no children when grafted; h=0 gives a single leaf node.
-    Subtrees are shared, so the result must be treated as read-only.
+    The root has size n, and a size-m node of height t >= 1 has one child
+    of height t - 1 for each size in `subtree_sizes(m)`.  The tree is
+    built height by height, one node per size at each height, so equal
+    subtrees are shared and the result must be treated as read-only.
+    n=0 gives the empty tree (None); h=0 gives a single leaf node.
     """
     if n < 0 or h < 0:
         raise ValueError("n and h must be nonnegative")
     if n == 0:
         return None
-    if h == 0:
-        return OrderedTree()
-    left = universal_tree(n // 2, h)
-    mid = universal_tree(n, h - 1)
-    right = universal_tree(n - 1 - n // 2, h)
-    children = (left.children if left else ()) + (mid,) + (right.children if right else ())
-    return OrderedTree(children)
-
-
-@lru_cache(maxsize=None)
-def _blank_path(h: int) -> OrderedTree:
-    t = OrderedTree()
+    # S(n) holds n itself and, by induction, every size below it
+    kids = {m: subtree_sizes(m) for m in set(subtree_sizes(n))}
+    level = dict.fromkeys(kids, OrderedTree())
     for _ in range(h):
-        t = OrderedTree((t,))
-    return t
-
-
-@lru_cache(maxsize=None)
-def with_stop_branches(t: OrderedTree) -> OrderedTree:
-    """Insert a leftmost single-path branch below every internal node.
-
-    The result's leaves correspond one-to-one with the nodes of ``t``
-    (follow the copy of a node, then drop into its blank branch), laid
-    out so that a node's image precedes the images of its descendants.
-    ``t`` embeds into the result, so padding a tree that embeds every
-    width-w tree of its height yields another such tree.
-    """
-    if not t.children:
-        return t
-    children = (_blank_path(t.height - 1),)
-    children += tuple(with_stop_branches(c) for c in t.children)
-    return OrderedTree(children)
+        level = {m: OrderedTree([level[s] for s in sizes]) for m, sizes in kids.items()}
+    return level[n]
 
 
 def enumerate_trees(h: int, max_width: int) -> Iterator[OrderedTree]:

@@ -20,7 +20,8 @@ from pgtrees.solver import (
     vertex_consistent,
     zielonka,
 )
-from pgtrees.trees import leaf_count, universal_tree, with_stop_branches
+from pgtrees.trees import leaf_count, universal_tree
+from reference import leaf_paths, with_stop_branches
 
 
 def seeded_games(count, n_range, d_choices, seed):
@@ -77,7 +78,7 @@ def scan_min_leaf(leaves, cur, k, strict, start=0):
 
 def test_rank_successor_frozen_examples():
     t = with_stop_branches(universal_tree(3, 2))
-    assert list(t.leaf_paths()) == [
+    assert leaf_paths(t) == [
         (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)
     ]
     ranks = LeafRanks(3, 2)
@@ -114,7 +115,7 @@ def test_rank_successor_matches_leaf_scan():
         for h in range(7):
             tree = with_stop_branches(universal_tree(n, h))
             ranks = LeafRanks(n, h)
-            leaves = list(tree.leaf_paths())
+            leaves = leaf_paths(tree)
             width = len(leaves)
             assert ranks.width == leaf_count(tree) == width
             assert leaves == sorted(leaves)

@@ -14,9 +14,9 @@ from pgtrees.trees import (
     leaf_count,
     universal_tree,
     verify_universal,
-    with_stop_branches,
 )
 from pgtrees.widths import width_recursive
+from reference import leaf_paths, recursive_universal_tree, with_stop_branches
 
 # -- independent oracles -----------------------------------------------------
 
@@ -58,7 +58,7 @@ def test_construct_single_path():
         t = universal_tree(1, h)
         assert t.width == 1
         assert t.height == h
-        assert list(t.leaf_paths()) == [(0,) * h]
+        assert leaf_paths(t) == [(0,) * h]
 
 
 def test_construct_empty_and_leaf():
@@ -77,6 +77,22 @@ def test_width_matches_recursion():
     for n in range(17):
         for h in range(5):
             assert leaf_count(universal_tree(n, h)) == width_recursive(n, h)
+
+
+def test_construct_matches_recursive_reference():
+    assert universal_tree(0, 4) is recursive_universal_tree(0, 4) is None
+    for n in range(1, 65):
+        for h in range(7):
+            t = universal_tree(n, h)
+            want = recursive_universal_tree(n, h)
+            assert t == want, (n, h)
+            assert t.to_text() == want.to_text(), (n, h)
+
+
+def test_construct_deep_trees():
+    # heights far beyond the interpreter's recursion limit
+    assert universal_tree(1, 5000).height == 5000
+    assert universal_tree(2, 1000).width == width_recursive(2, 1000)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -213,6 +229,8 @@ def test_from_text_deep_nesting():
     tree = OrderedTree.from_text(text)
     assert tree.height == 5000
     assert tree.to_text() == text
+    assert OrderedTree.from_text(text) == tree
+    assert OrderedTree.from_text("(" * 4999 + "(..)" + ")" * 4999) != tree
     with pytest.raises(ValueError, match="unbalanced"):
         OrderedTree.from_text("(" * 5000 + "." + ")" * 4999)
 
