@@ -17,9 +17,6 @@ from .widths import width_report
 
 VERIFY_N_GUARD = 6
 VERIFY_H_GUARD = 3
-# enumerating and embedding trees recurse twice per level; the cap
-# leaves a margin below the default recursion limit
-VERIFY_H_CAP = 400
 
 
 def _write(path: str, text: str) -> None:
@@ -64,8 +61,6 @@ def _cmd_verify_universal(args) -> int:
     n, h = args.n, args.h
     if n < 1:
         raise ValueError("n must be positive")
-    if h > VERIFY_H_CAP:
-        raise ValueError(f"height {h} above the cap of {VERIFY_H_CAP}, even with --force")
     if (n > VERIFY_N_GUARD or h > VERIFY_H_GUARD) and not args.force:
         raise ValueError(
             f"exhaustive check guarded to n <= {VERIFY_N_GUARD}, "

@@ -8,6 +8,8 @@ number of leaves.  Leaves are addressed by root-to-leaf child-index paths
 tree of height h and width at most n embeds; its width is exactly
 `widths.width_recursive(n, h)`.  Its shape is one split rule,
 `subtree_sizes`, which the solver's leaf ranks follow as well.
+`enumerate_trees` builds its candidates height by height too, and
+`embeds` matches children greedily, leftmost first; neither recurses.
 """
 
 from __future__ import annotations
@@ -170,67 +172,69 @@ def enumerate_trees(h: int, max_width: int) -> Iterator[OrderedTree]:
 
     Canonical order: lexicographic on the preorder arity sequence, so the
     single-path tree comes first and trees with fewer root children come
-    before wider roots.
+    before wider roots.  Each height below h is built once, as a list of
+    shared subtrees that stays in memory while height h is streamed.
     """
-    if max_width < 1:
-        return
-    if h == 0:
-        yield OrderedTree()
-        return
-    for k in range(1, max_width + 1):
-        for children in _child_tuples(k, h - 1, max_width):
-            yield OrderedTree(children)
+    if h < 0:
+        raise ValueError("h must be nonnegative")
+    level = [OrderedTree()] if max_width > 0 else []
+    for _ in range(h - 1):
+        level = list(map(OrderedTree, _rows(level, max_width)))
+    return map(OrderedTree, _rows(level, max_width)) if h else iter(level)
 
 
-def _child_tuples(k: int, h: int, budget: int) -> Iterator[tuple]:
-    # k-tuples of height-h trees with total width <= budget, in canonical order
-    if k == 1:
-        for t in enumerate_trees(h, budget):
-            yield (t,)
-        return
-    for first in enumerate_trees(h, budget - (k - 1)):
-        for rest in _child_tuples(k - 1, h, budget - first.width):
-            yield (first,) + rest
+def _rows(trees: list, budget: int) -> Iterator[tuple]:
+    # tuples of trees with total width <= budget, fewer entries first, then
+    # lexicographic; a stack holds one iterator per open position
+    fitting = [[t for t in trees if t.width <= spare + 1] for spare in range(budget)]
+    for k in range(1, budget + 1):
+        row: list = []
+        spare = budget - k  # width free beyond one leaf per entry
+        stack = [iter(fitting[spare])]
+        while stack:
+            t = next(stack[-1], None)
+            if t is None:
+                stack.pop()
+                spare += row.pop().width - 1 if row else 0
+            elif len(row) == k - 1:
+                yield (*row, t)
+            else:
+                row.append(t)
+                spare -= t.width - 1
+                stack.append(iter(fitting[spare]))
 
 
 def embeds(t1: OrderedTree, t2: OrderedTree) -> bool:
     """Does t1 embed into t2 (same height)?
 
     An embedding maps nodes injectively, children to children, preserving
-    each node's left-to-right child order.  Decided recursively: a node u
-    fits at v iff u's child sequence admits an order-preserving injective
-    assignment to v's children with each child fitting its target, which
-    is a two-index dynamic program over the child lists.
+    each node's left-to-right child order.  Greedy leftmost matching
+    decides it: each child of u goes to the leftmost remaining child of v
+    that it fits, since any valid placement shifts left onto that one.
     """
     if t1.height != t2.height:
         raise ValueError(f"height mismatch: {t1.height} vs {t2.height}")
-    memo: dict[tuple[int, int], bool] = {}
-
-    def fits(u: OrderedTree, v: OrderedTree) -> bool:
-        if not u.children:
-            return True
-        if u.width > v.width or len(u.children) > len(v.children):
-            return False
-        key = (id(u), id(v))
-        cached = memo.get(key)
-        if cached is None:
-            cached = _assign(u.children, v.children)
-            memo[key] = cached
-        return cached
-
-    def _assign(us: tuple, vs: tuple) -> bool:
-        # prev[i]: us[:i] assignable into the vs prefix scanned so far
-        prev = [True] + [False] * len(us)
-        for v in vs:
-            cur = [True]
-            for i in range(1, len(us) + 1):
-                cur.append(prev[i] or (prev[i - 1] and fits(us[i - 1], v)))
-            if cur[-1]:
-                return True
-            prev = cur
-        return prev[-1]
-
-    return fits(t1, t2)
+    decided: dict[tuple[int, int], bool] = {}
+    # frame [u, v, i, j]: u's children before i sit on v's children before
+    # j, and the pair (u.children[i], v.children[j]) is tried next
+    stack = [[t1, t2, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        u, v, i, j = frame
+        us, vs = u.children, v.children
+        while i < len(us) and len(us) - i <= len(vs) - j:
+            a, b = us[i], vs[j]
+            fits = not a.children or (a.width <= b.width and decided.get((id(a), id(b))))
+            if fits is None:
+                frame[2:] = i, j
+                stack.append([a, b, 0, 0])
+                break
+            i += fits
+            j += 1
+        else:
+            decided[id(u), id(v)] = i == len(us)
+            stack.pop()
+    return decided[id(t1), id(t2)]
 
 
 def find_counterexample(t: OrderedTree, n: int) -> OrderedTree | None:

@@ -1,14 +1,19 @@
-"""Reference tree builders that the tests compare the package against.
+"""Reference tree code that the tests compare the package against.
 
 None of these is used by the package itself.  `recursive_universal_tree`
 is the universal tree's defining recursion, which `trees.universal_tree`
-computes height by height; `with_stop_branches` builds the padded tree
-whose leaves `solver.LeafRanks` numbers without building it; `leaf_paths`
-lists a tree's leaves.  All three recurse once per level, so they suit
-the shallow trees of the tests only.
+computes height by height; `recursive_enumerate_trees` enumerates trees
+by recursion over the root's children, which `trees.enumerate_trees`
+does height by height; `dp_embeds` decides embedding by a two-index
+dynamic program, where `trees.embeds` matches children greedily;
+`with_stop_branches` builds the padded tree whose leaves
+`solver.LeafRanks` numbers without building it; `leaf_paths` lists a
+tree's leaves.  All of them recurse once or twice per level, so they
+suit the shallow trees of the tests only.
 """
 
 from functools import lru_cache
+from typing import Iterator
 
 from pgtrees.trees import OrderedTree
 
@@ -64,3 +69,71 @@ def leaf_paths(t: OrderedTree) -> list[tuple[int, ...]]:
     if not t.children:
         return [()]
     return [(i,) + rest for i, child in enumerate(t.children) for rest in leaf_paths(child)]
+
+
+def recursive_enumerate_trees(h: int, max_width: int) -> Iterator[OrderedTree]:
+    """Every ordered tree of height exactly h and width <= max_width, once.
+
+    Canonical order: lexicographic on the preorder arity sequence, so the
+    single-path tree comes first and trees with fewer root children come
+    before wider roots.
+    """
+    if max_width < 1:
+        return
+    if h == 0:
+        yield OrderedTree()
+        return
+    for k in range(1, max_width + 1):
+        for children in _child_tuples(k, h - 1, max_width):
+            yield OrderedTree(children)
+
+
+def _child_tuples(k: int, h: int, budget: int) -> Iterator[tuple]:
+    # k-tuples of height-h trees with total width <= budget, in canonical order
+    if k == 1:
+        for t in recursive_enumerate_trees(h, budget):
+            yield (t,)
+        return
+    for first in recursive_enumerate_trees(h, budget - (k - 1)):
+        for rest in _child_tuples(k - 1, h, budget - first.width):
+            yield (first,) + rest
+
+
+def dp_embeds(t1: OrderedTree, t2: OrderedTree) -> bool:
+    """Does t1 embed into t2 (same height)?
+
+    An embedding maps nodes injectively, children to children, preserving
+    each node's left-to-right child order.  Decided recursively: a node u
+    fits at v iff u's child sequence admits an order-preserving injective
+    assignment to v's children with each child fitting its target, which
+    is a two-index dynamic program over the child lists.
+    """
+    if t1.height != t2.height:
+        raise ValueError(f"height mismatch: {t1.height} vs {t2.height}")
+    memo: dict[tuple[int, int], bool] = {}
+
+    def fits(u: OrderedTree, v: OrderedTree) -> bool:
+        if not u.children:
+            return True
+        if u.width > v.width or len(u.children) > len(v.children):
+            return False
+        key = (id(u), id(v))
+        cached = memo.get(key)
+        if cached is None:
+            cached = _assign(u.children, v.children)
+            memo[key] = cached
+        return cached
+
+    def _assign(us: tuple, vs: tuple) -> bool:
+        # prev[i]: us[:i] assignable into the vs prefix scanned so far
+        prev = [True] + [False] * len(us)
+        for v in vs:
+            cur = [True]
+            for i in range(1, len(us) + 1):
+                cur.append(prev[i] or (prev[i - 1] and fits(us[i - 1], v)))
+            if cur[-1]:
+                return True
+            prev = cur
+        return prev[-1]
+
+    return fits(t1, t2)

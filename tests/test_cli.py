@@ -120,6 +120,29 @@ def test_verify_universal_force_overrides_guard(capsys):
     assert "UNIVERSAL" in out
 
 
+def test_verify_universal_deep_and_wide_force(capsys):
+    # at two Python frames per level or per root child, either run would
+    # pass the interpreter's recursion limit
+    code, out, err = run(["verify-universal", "1", "900", "--force"], capsys)
+    assert (code, out, err) == (0, "UNIVERSAL (width=1, trees checked=1)\n", "")
+    code, out, err = run(["verify-universal", "1000", "1", "--force"], capsys)
+    assert (code, out, err) == (0, "UNIVERSAL (width=1000, trees checked=1000)\n", "")
+
+
+def test_verify_universal_from_deep_caller(capsys):
+    # main stays the error boundary when its caller already uses most of
+    # the interpreter's stack
+    def at_depth(frames):
+        if frames:
+            return at_depth(frames - 1)
+        path = "(" * 400 + "." + ")" * 400
+        return main(["verify-universal", "2", "400", "--force", "--tree", path])
+
+    assert at_depth(900) == 3
+    out = capsys.readouterr().out
+    assert out == "NOT UNIVERSAL: counterexample " + "(" * 399 + "(..)" + ")" * 399 + "\n"
+
+
 def test_verify_universal_tree_height_mismatch(capsys):
     code, _, err = run(["verify-universal", "2", "2", "--tree", "(.)"], capsys)
     assert code == 2
@@ -154,10 +177,6 @@ def test_malformed_arguments_exit_2(capsys):
     code, _, err = run(["verify-universal", "0", "1"], capsys)
     assert code == 2
     assert err == "error: n must be positive\n"
-    code, out, err = run(["verify-universal", "1", "900", "--force"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: height 900 above the cap")
     code, out, err = run(["gen", "4", "2", "--degree", "3:1"], capsys)
     assert code == 2
     assert out == ""

@@ -16,7 +16,13 @@ from pgtrees.trees import (
     verify_universal,
 )
 from pgtrees.widths import width_recursive
-from reference import leaf_paths, recursive_universal_tree, with_stop_branches
+from reference import (
+    dp_embeds,
+    leaf_paths,
+    recursive_enumerate_trees,
+    recursive_universal_tree,
+    with_stop_branches,
+)
 
 # -- independent oracles -----------------------------------------------------
 
@@ -132,6 +138,14 @@ def test_enumerate_yields_each_tree_once():
 def test_enumerate_respects_budget():
     assert all(t.width <= 3 for t in enumerate_trees(3, 3))
     assert list(enumerate_trees(2, 0)) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_trees(-1, 3)
+
+
+def test_enumerate_deep_trees():
+    # heights far beyond the interpreter's recursion limit: one path and
+    # one tree per level at which a second leaf branches off
+    assert len(list(enumerate_trees(600, 2))) == 601
 
 
 # -- embedding ---------------------------------------------------------------
@@ -177,6 +191,30 @@ def test_embeds_transitive_sample():
         a, b, c = (rng.choice(trees) for _ in range(3))
         if embeds(a, b) and embeds(b, c):
             assert embeds(a, c)
+
+
+def test_embeds_deep_trees():
+    # heights far beyond the interpreter's recursion limit
+    path, two = universal_tree(1, 5000), universal_tree(2, 5000)
+    assert embeds(path, two)
+    assert not embeds(two, path)
+
+
+def test_enumerate_and_embeds_match_recursive_references():
+    for h in range(5):
+        for w in range(6):
+            got = [t.to_text() for t in enumerate_trees(h, w)]
+            assert got == [t.to_text() for t in recursive_enumerate_trees(h, w)], (h, w)
+    for h in range(4):
+        trees = list(enumerate_trees(h, 4))
+        for a in trees:
+            for b in trees:
+                assert embeds(a, b) == dp_embeds(a, b), (a, b)
+    for n in range(1, 7):
+        for h in range(4):
+            t = universal_tree(n, h)
+            for s in enumerate_trees(h, n + 1):
+                assert embeds(s, t) == dp_embeds(s, t), (n, s)
 
 
 def test_verify_universal():
