@@ -12,7 +12,7 @@ import time
 
 from .game import parse_pgsolver, random_game, serialize_pgsolver
 from .solver import format_regions, solve, zielonka
-from .trees import OrderedTree, embeds, enumerate_trees, leaf_count, universal_tree
+from .trees import OrderedTree, embeds, enumerate_trees, universal_tree
 from .widths import width_report
 
 VERIFY_N_GUARD = 6
@@ -78,7 +78,7 @@ def _cmd_verify_universal(args) -> int:
             print(f"NOT UNIVERSAL: counterexample {candidate.to_text()}")
             return 3
         checked += 1
-    print(f"UNIVERSAL (width={leaf_count(tree)}, trees checked={checked})")
+    print(f"UNIVERSAL (width={tree.width}, trees checked={checked})")
     return 0
 
 
@@ -89,6 +89,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.games < 0:
+        raise ValueError("--games must be nonnegative")
     rows = ["n,d,seed,eta,tree_width,lifts,changes,wall_seconds"]
     for d in _int_list(args.d):
         for i in range(args.games):

@@ -93,15 +93,6 @@ class GameGraph:
         odd = sum(p % 2 for p in self.priority)
         return PriorityCounts(odd=odd, even=self.n - odd)
 
-    def structurally_equal(self, other: "GameGraph") -> bool:
-        """Same owners, priorities and edge sets; the d bound is ignored."""
-        return (
-            self.n == other.n
-            and self.owner == other.owner
-            and self.priority == other.priority
-            and all(set(a) == set(b) for a, b in zip(self.succ, other.succ))
-        )
-
     def __repr__(self) -> str:
         return f"<GameGraph n={self.n} m={self.edge_count} d={self.d}>"
 

@@ -10,6 +10,8 @@ tree of height h and width at most n embeds; its width is exactly
 `subtree_sizes`, which the solver's leaf ranks follow as well.
 `enumerate_trees` builds its candidates height by height too, and
 `embeds` matches children greedily, leftmost first; neither recurses.
+Trees compare by identity; their shapes compare by `to_text()`, which
+`from_text` reads back in one pass.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ class OrderedTree:
     """Immutable ordered tree; a node with no children is a single leaf.
 
     All children of a node must share one height so leaves stay at a
-    uniform depth.  Structural equality and hashing are by shape.
+    uniform depth.  Trees compare and hash by identity; compare shapes
+    by `to_text()`.
     """
 
-    __slots__ = ("children", "height", "width", "_hash")
+    __slots__ = ("children", "height", "width")
 
     def __init__(self, children: tuple["OrderedTree", ...] | list = ()):
         children = tuple(children)
@@ -39,7 +42,6 @@ class OrderedTree:
             self.height = 0
             self.width = 1
         self.children = children
-        self._hash = hash(children)
 
     @property
     def arity(self) -> int:
@@ -64,65 +66,29 @@ class OrderedTree:
 
     @classmethod
     def from_text(cls, text: str) -> "OrderedTree":
-        tree, pos = cls._parse(text)
-        if pos != len(text):
-            raise ValueError(f"trailing characters at position {pos}: {text[pos:]!r}")
-        return tree
-
-    @classmethod
-    def _parse(cls, text: str) -> tuple["OrderedTree", int]:
-        # One tree from the start of text, and the position after it.  An
-        # explicit stack of the open nodes' child lists replaces recursion,
-        # so nesting depth is not bounded by the interpreter's stack.
-        if not text:
-            raise ValueError("unexpected end of tree text")
-        open_nodes: list[list] = []
-        pos = 0
-        while True:
-            # a node starts at pos
-            if text[pos] == "(":
+        # one pass over a stack of the open nodes' child lists, whose bottom
+        # list receives the root, so nesting depth is not bounded by the
+        # interpreter's stack
+        open_nodes: list[list] = [[]]
+        for pos, ch in enumerate(text):
+            if open_nodes[0]:
+                raise ValueError(f"trailing characters at position {pos}: {text[pos:]!r}")
+            if ch == "(":
                 open_nodes.append([])
-            elif text[pos] == ".":
-                if not open_nodes:
-                    return cls(), pos + 1
+            elif ch == ".":
                 open_nodes[-1].append(cls())
-            else:
-                raise ValueError(f"expected '(' or '.' at position {pos}")
-            pos += 1
-            # close every node that ends here; stop where a child starts
-            while True:
-                if pos >= len(text):
-                    raise ValueError("unbalanced '(' in tree text")
-                if text[pos] != ")":
-                    break
+            elif ch == ")" and len(open_nodes) > 1:
                 children = open_nodes.pop()
                 if not children:
                     raise ValueError("internal node with no children")
-                node = cls(children)
-                pos += 1
-                if not open_nodes:
-                    return node, pos
-                open_nodes[-1].append(node)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, OrderedTree):
-            return NotImplemented
-        # node pairs on an explicit stack, so that height is not bounded
-        # by the interpreter's stack
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a._hash != b._hash or a.width != b.width or a.arity != b.arity:
-                return False
-            pairs.extend(zip(a.children, b.children))
-        return True
-
-    def __hash__(self):
-        return self._hash
+                open_nodes[-1].append(cls(children))
+            else:
+                raise ValueError(f"expected '(' or '.' at position {pos}")
+        if len(open_nodes) > 1:
+            raise ValueError("unbalanced '(' in tree text")
+        if not open_nodes[0]:
+            raise ValueError("unexpected end of tree text")
+        return open_nodes[0][0]
 
     def __repr__(self):
         return f"OrderedTree.from_text({self.to_text()!r})"
@@ -214,7 +180,7 @@ def embeds(t1: OrderedTree, t2: OrderedTree) -> bool:
     """
     if t1.height != t2.height:
         raise ValueError(f"height mismatch: {t1.height} vs {t2.height}")
-    decided: dict[tuple[int, int], bool] = {}
+    decided: dict[tuple[OrderedTree, OrderedTree], bool] = {}
     # frame [u, v, i, j]: u's children before i sit on v's children before
     # j, and the pair (u.children[i], v.children[j]) is tried next
     stack = [[t1, t2, 0, 0]]
@@ -224,7 +190,7 @@ def embeds(t1: OrderedTree, t2: OrderedTree) -> bool:
         us, vs = u.children, v.children
         while i < len(us) and len(us) - i <= len(vs) - j:
             a, b = us[i], vs[j]
-            fits = not a.children or (a.width <= b.width and decided.get((id(a), id(b))))
+            fits = not a.children or (a.width <= b.width and decided.get((a, b)))
             if fits is None:
                 frame[2:] = i, j
                 stack.append([a, b, 0, 0])
@@ -232,9 +198,9 @@ def embeds(t1: OrderedTree, t2: OrderedTree) -> bool:
             i += fits
             j += 1
         else:
-            decided[id(u), id(v)] = i == len(us)
+            decided[u, v] = i == len(us)
             stack.pop()
-    return decided[id(t1), id(t2)]
+    return decided[t1, t2]
 
 
 def find_counterexample(t: OrderedTree, n: int) -> OrderedTree | None:

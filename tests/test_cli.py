@@ -181,6 +181,13 @@ def test_malformed_arguments_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: out-degree range 3:1 is reversed\n"
+    code, out, err = run(["bench", "--n", "4", "--d", "2", "--games", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --games must be nonnegative\n"
+    code, out, _ = run(["bench", "--n", "4", "--d", "2", "--games", "0"], capsys)
+    assert code == 0
+    assert out == "n,d,seed,eta,tree_width,lifts,changes,wall_seconds\n"
 
 
 def test_bench_csv(tmp_path, capsys):

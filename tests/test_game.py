@@ -139,8 +139,8 @@ def test_round_trip_on_seeded_games():
         assert len(shifts) == 1
         assert shifts.pop() % 2 == 0
         # from the normalized image onward the round trip is the identity
-        g3 = parse_pgsolver(serialize_pgsolver(g2))
-        assert g3.structurally_equal(g2)
+        text = serialize_pgsolver(g2)
+        assert serialize_pgsolver(parse_pgsolver(text)) == text
 
 
 def test_serialize_parse_idempotent():
@@ -153,9 +153,9 @@ def test_serialize_parse_idempotent():
 def test_random_game_deterministic():
     a = random_game(5, 4, (1, 2), seed=42)
     b = random_game(5, 4, (1, 2), seed=42)
-    assert a.structurally_equal(b)
+    assert serialize_pgsolver(a) == serialize_pgsolver(b)
     c = random_game(5, 4, (1, 2), seed=43)
-    assert not a.structurally_equal(c)
+    assert serialize_pgsolver(a) != serialize_pgsolver(c)
 
 
 def test_random_game_degrees_and_priorities():
