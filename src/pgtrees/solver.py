@@ -3,14 +3,15 @@
 `solve` labels every vertex with a leaf of a working ordered tree or the
 sentinel TOP above all leaves.  The working tree is the compact
 universal tree sized by eta = min(#odd-priority, #even-priority)
-vertices (<= n // 2) at height d/2, padded with a leftmost "stop"
+vertices (<= n // 2), padded with a leftmost "stop"
 branch, a single path down to one leaf, below every internal node.
 Padding keeps the tree universal for the same width while giving every
 ancestor prefix its own least leaf, which is what lets unconstrained
 vertices rest low instead of being dragged upward; without it the
 eta-sized tree is too small in games where both players win somewhere.
 
-The padded tree is fully determined by (eta, d/2), so it is never built.
+The padded tree is fully determined by its size and height, so it is
+never built.
 A leaf is its rank 0..W-1 in leaf order and TOP is W, the tree's width
 (`LeafRanks`).  Leaf order is lexicographic path order, so every subtree
 owns a contiguous block of ranks, and "the length-k path prefix of a is
@@ -38,9 +39,9 @@ into w admits depends on w alone, so the measure keeps it per vertex
 
 Prefix lengths are anchored at the opponent-parity priorities actually
 present in the game: an absent priority would add a comparison level
-that nothing ever resets, skewing the labelling.  The tree still has
-the standard height d/2; comparisons simply never reach the trailing
-coordinates.
+that nothing ever resets, skewing the labelling.  The tree's height is
+the number of these live levels, at least 1; it is d/2 when every
+opponent-parity priority occurs.
 
 Labels start at the least leaf and only ever increase toward TOP, so
 iterating the local repair `lift` to a fixpoint yields the least
@@ -203,29 +204,26 @@ def leaf_ranks(size: int, height: int) -> LeafRanks:
 class Measure:
     """Per-vertex leaf ranks plus the fixed context of one lifting run.
 
+    ``ranks`` is the padded universal tree of the given size whose height
+    is the number of live levels, at least 1, so that even a game with no
+    live level gets a tree whose width grows with its size.  With every
+    opponent-parity priority present that height is d/2.
     ``values[v]`` is a leaf rank of ``ranks`` or ``top`` (its width),
     starting at the least leaf 0.  ``k[w]`` and ``strict[w]`` describe
     the comparison an edge *into* w imposes, and ``target[w]`` caches the
     least value such an edge admits; `set` keeps it in step with
-    ``values[w]``.  The tree may be taller than the number of live levels
-    (the standard sizing uses height d/2); comparisons then never reach
-    the trailing coordinates, and a truncated universal tree is still
-    universal, so the extra height is harmless.
+    ``values[w]``.
     """
 
     __slots__ = ("values", "target", "player", "ranks", "top", "k", "strict")
 
-    def __init__(self, g: GameGraph, player: int, ranks: LeafRanks):
+    def __init__(self, g: GameGraph, player: int, size: int):
         levels = live_levels(g, player)
-        if ranks.height < len(levels):
-            raise ValueError(
-                f"tree height {ranks.height} below the {len(levels)} live levels"
-            )
         opp_parity = 1 if player == EVEN else 0
         self.values = [0] * g.n
         self.player = player
-        self.ranks = ranks
-        self.top = ranks.width
+        self.ranks = leaf_ranks(size, max(len(levels), 1))
+        self.top = self.ranks.width
         # k(p) = number of live levels with priority >= p
         self.k = tuple(len(levels) - bisect_left(levels, p) for p in g.priority)
         self.strict = tuple(p % 2 == opp_parity for p in g.priority)
@@ -433,15 +431,13 @@ def solve(
     counts = g.priority_counts()
     player = EVEN if counts.odd <= counts.even else ODD
     eta = min(counts.odd, counts.even)
-    height = g.d // 2
-    ranks = leaf_ranks(g.n if full_tree else max(eta, 1), height)
-    mu = Measure(g, player, ranks)
+    mu = Measure(g, player, g.n if full_tree else max(eta, 1))
     components = _components(g)
     tally = [0, 0]
     run = _worklist(g, mu, components, worklist, seed, tally)
     decided_by = player
     if not _finished(run):
-        rival = Measure(g, 1 - player, leaf_ranks(g.n if full_tree else g.n - eta, height))
+        rival = Measure(g, 1 - player, g.n if full_tree else g.n - eta)
         rival_run = _worklist(g, rival, components, worklist, seed, tally)
         while not _finished(rival_run):
             if _finished(run):
@@ -463,7 +459,7 @@ def solve(
     stats = SolveStats(
         player=player,
         eta=eta,
-        tree_width=ranks.width,
+        tree_width=mu.top,
         lifts=tally[0],
         changes=tally[1],
         decided_by=decided_by,
@@ -490,8 +486,13 @@ def _bits(mask: int):
 
 
 def zielonka(g: GameGraph) -> WinningRegions:
-    """Classical recursive solver: peel the attractor of the top priority,
-    recurse, and flip on an opponent counterexample region."""
+    """Classical Zielonka solver: peel the attractor of the top priority,
+    solve the rest, and flip on an opponent counterexample region.
+
+    The recursion runs on an explicit stack with one frame per pending
+    call, so a game with many distinct priorities needs no Python
+    recursion.
+    """
     n = g.n
     owner = g.owner
     priority = g.priority
@@ -515,27 +516,49 @@ def zielonka(g: GameGraph) -> WinningRegions:
                     stack.append(u)
         return attr
 
-    def win(alive: int) -> tuple[int, int]:
-        if not alive:
-            return 0, 0
-        top = max(priority[v] for v in _bits(alive))
-        player = EVEN if top % 2 == 0 else ODD
-        tops = 0
-        for v in _bits(alive):
-            if priority[v] == top:
-                tops |= 1 << v
-        region = attract(tops, player, alive)
-        w_even, w_odd = win(alive & ~region)
+    # a frame is [alive, player, counter] for a pending call on the
+    # subgame alive whose top priority has the parity of player; counter
+    # is 0 while its first subgame is solved, then the opponent's
+    # attractor peeled for the second one
+    frames: list[list[int]] = []
+    alive = (1 << n) - 1
+    solved = None  # regions of the subgame solved last, or None to enter alive
+    while True:
+        if solved is None:
+            if alive:
+                top = tops = 0
+                for v in _bits(alive):
+                    if priority[v] > top:
+                        top, tops = priority[v], 0
+                    if priority[v] == top:
+                        tops |= 1 << v
+                player = EVEN if top % 2 == 0 else ODD
+                frames.append([alive, player, 0])
+                alive &= ~attract(tops, player, alive)
+                continue
+            solved = (0, 0)
+        if not frames:
+            break
+        alive, player, counter = frames[-1]
+        w_even, w_odd = solved
+        if counter:
+            frames.pop()
+            if player == EVEN:
+                solved = (w_even, w_odd | counter)
+            else:
+                solved = (w_even | counter, w_odd)
+            continue
         w_opp = w_odd if player == EVEN else w_even
         if not w_opp:
-            return (alive, 0) if player == EVEN else (0, alive)
+            frames.pop()
+            solved = (alive, 0) if player == EVEN else (0, alive)
+            continue
         counter = attract(w_opp, 1 - player, alive)
-        w_even, w_odd = win(alive & ~counter)
-        if player == EVEN:
-            return w_even, w_odd | counter
-        return w_even | counter, w_odd
+        frames[-1][2] = counter
+        alive &= ~counter
+        solved = None
 
-    w_even, w_odd = win((1 << n) - 1)
+    w_even, w_odd = solved
     return WinningRegions(
         even=frozenset(_bits(w_even)), odd=frozenset(_bits(w_odd))
     )

@@ -1,7 +1,7 @@
 """Command line behaviour and exit codes."""
 
 from pgtrees.cli import main
-from pgtrees.game import parse_pgsolver, random_game, serialize_pgsolver
+from pgtrees.game import EVEN, GameGraph, parse_pgsolver, random_game, serialize_pgsolver
 from pgtrees.solver import solve, zielonka
 
 
@@ -57,9 +57,21 @@ def test_solve_oracle_corpus(tmp_path, capsys):
 
 
 def test_solve_oracle_deep_priority(tmp_path, capsys):
-    # d = 5000 asks for a tree of height 2500, far past the recursion limit
+    # priority 1 is the only odd one, so Even is measured over a tree of
+    # height 1 whatever d is
     path = tmp_path / "deep.pg"
     path.write_text("parity 1;\n0 5000 0 1;\n1 1 1 0;\n")
+    code, out, err = run(["solve", "--oracle", str(path)], capsys)
+    assert code == 0, err
+    assert "oracle: regions agree" in out
+
+
+def test_solve_oracle_deep_priority_path(tmp_path, capsys):
+    # 1,000 distinct priorities peel 1,000 attractors, one inside the other
+    n = 1000
+    g = GameGraph([EVEN] * n, range(1, n + 1), [[max(i - 1, 0)] for i in range(n)], d=n)
+    path = tmp_path / "path.pg"
+    path.write_text(serialize_pgsolver(g))
     code, out, err = run(["solve", "--oracle", str(path)], capsys)
     assert code == 0, err
     assert "oracle: regions agree" in out

@@ -5,7 +5,7 @@ from bisect import bisect_left
 
 import pytest
 
-from pgtrees.game import EVEN, ODD, GameError, GameGraph, random_game
+from pgtrees.game import EVEN, ODD, GameError, GameGraph, parse_pgsolver, random_game
 from pgtrees.solver import (
     SLICE,
     LeafRanks,
@@ -13,7 +13,6 @@ from pgtrees.solver import (
     _components,
     brute_force_solve,
     edge_consistent,
-    leaf_ranks,
     lift,
     live_levels,
     solve,
@@ -37,14 +36,33 @@ def seeded_games(count, n_range, d_choices, seed):
 
 def test_measure_k_even_measure():
     g = GameGraph([EVEN] * 4, [4, 3, 2, 1], [[0]] * 4, d=4)
-    assert Measure(g, EVEN, LeafRanks(1, 2)).k == (0, 1, 1, 2)
+    assert Measure(g, EVEN, 1).k == (0, 1, 1, 2)
     g2 = GameGraph([EVEN] * 2, [2, 1], [[0]] * 2, d=2)
-    assert Measure(g2, EVEN, LeafRanks(1, 1)).k == (0, 1)
+    assert Measure(g2, EVEN, 1).k == (0, 1)
+
+
+def test_solve_huge_priority_uses_live_height():
+    # one live level, so the tree has height 1 however large d is
+    r = solve(parse_pgsolver("0 2000000 0 1;\n1 1 1 0;\n"))
+    assert r.stats.tree_width == 2
+    assert r.regions.even == frozenset({0, 1})
+
+
+def test_tree_height_is_live_level_count():
+    missing = 0
+    for g in seeded_games(200, (1, 8), (4, 6, 8), seed=37):
+        r = solve(g)
+        levels = live_levels(g, r.stats.player)
+        missing += len(levels) < g.d // 2
+        height = max(len(levels), 1)
+        padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
+        assert r.stats.tree_width == leaf_count(padded)
+    assert missing >= 150  # most games lack some opponent-parity priority
 
 
 def test_measure_k_odd_measure():
     g = GameGraph([EVEN] * 4, [4, 3, 2, 1], [[0]] * 4, d=4)
-    assert Measure(g, ODD, LeafRanks(1, 2)).k == (1, 1, 2, 2)
+    assert Measure(g, ODD, 1).k == (1, 1, 2, 2)
 
 
 def test_live_levels():
@@ -153,7 +171,7 @@ def test_target_cache_matches_values():
             mu = solve(g, worklist=policy, seed=i).measure
             assert mu.target == [mu.fresh_target(w) for w in range(g.n)]
         # and so would a wrong first target, before any lift
-        start = Measure(g, mu.player, mu.ranks)
+        start = Measure(g, mu.player, mu.ranks.size)
         assert start.target == [start.fresh_target(w) for w in range(g.n)]
 
 
@@ -210,7 +228,7 @@ def test_solve_long_path_without_recursion():
 def test_edge_condition_self_loop_examples():
     # priority 1 self-loop: a strict edge onto itself never holds on a leaf
     g = GameGraph([ODD], [1], [[0]], d=2)
-    mu = Measure(g, EVEN, LeafRanks(1, 1))
+    mu = Measure(g, EVEN, 1)
     assert mu.values[0] == 0
     assert not edge_consistent(g, mu, 0, 0)
     mu.set(0, mu.top - 1)  # the last leaf
@@ -218,7 +236,7 @@ def test_edge_condition_self_loop_examples():
 
     # priority 2 self-loop: empty prefix, vacuously consistent
     g2 = GameGraph([ODD], [2], [[0]], d=2)
-    mu2 = Measure(g2, EVEN, LeafRanks(1, 1))
+    mu2 = Measure(g2, EVEN, 1)
     assert edge_consistent(g2, mu2, 0, 0)
 
     # top value dominates everything
@@ -230,14 +248,14 @@ def test_lift_self_loop_examples():
     # padded single path: leaves 0 (stop branch) and 1; strict steps to
     # the next leaf, and from the last one to TOP
     g = GameGraph([EVEN], [1], [[0]], d=2)
-    mu = Measure(g, EVEN, LeafRanks(1, 1))
+    mu = Measure(g, EVEN, 1)
     assert mu.top == 2
     assert lift(g, mu, 0) == 1
     mu.set(0, 1)
     assert lift(g, mu, 0) == mu.top
 
     g2 = GameGraph([EVEN], [2], [[0]], d=2)
-    mu2 = Measure(g2, EVEN, LeafRanks(1, 1))
+    mu2 = Measure(g2, EVEN, 1)
     assert lift(g2, mu2, 0) == 0  # already consistent, no-op
 
 
@@ -247,7 +265,7 @@ def test_lift_never_decreases_on_random_states():
         counts = g.priority_counts()
         player = EVEN if counts.odd <= counts.even else ODD
         ranks = solve(g).measure.ranks
-        mu = Measure(g, player, ranks)
+        mu = Measure(g, player, ranks.size)
         for v in range(g.n):
             mu.set(v, rng.randrange(ranks.width + 1))  # a leaf rank or TOP
         for v in range(g.n):
@@ -303,6 +321,15 @@ def test_zielonka_agrees_with_brute_force():
         assert zielonka(g) == brute_force_solve(g)
 
 
+def test_zielonka_deep_priority_path():
+    # vertex i has priority i + 1 and moves to i - 1, and vertex 0 loops on
+    # priority 1: every play ends on that loop, so Odd wins everywhere.
+    # Each priority peels one attractor, 3,000 levels deep
+    n = 3000
+    g = GameGraph([EVEN] * n, range(1, n + 1), [[max(i - 1, 0)] for i in range(n)], d=n)
+    assert zielonka(g).odd == frozenset(range(n))
+
+
 def test_zielonka_deterministic():
     g = random_game(9, 6, (1, 3), seed=4)
     assert zielonka(g) == zielonka(g)
@@ -346,7 +373,7 @@ def round_robin_values(g):
     until a whole sweep changes nothing.  No worklist, no components."""
     counts = g.priority_counts()
     player = EVEN if counts.odd <= counts.even else ODD
-    mu = Measure(g, player, leaf_ranks(max(min(counts.odd, counts.even), 1), g.d // 2))
+    mu = Measure(g, player, max(min(counts.odd, counts.even), 1))
     changed = True
     while changed:
         changed = False
@@ -429,15 +456,10 @@ def test_stats_fields():
     assert r.stats.player in (EVEN, ODD)
     assert r.stats.eta == min(counts.odd, counts.even)
     assert r.stats.tree_width == r.measure.ranks.width == r.measure.top
-    padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), g.d // 2))
+    height = max(len(live_levels(g, r.stats.player)), 1)
+    padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
     assert r.stats.tree_width == leaf_count(padded)
     assert r.stats.changes <= r.stats.lifts
-
-
-def test_measure_rejects_short_tree():
-    g = GameGraph([EVEN, EVEN], [1, 3], [[1], [0]], d=4)
-    with pytest.raises(ValueError, match="live levels"):
-        Measure(g, EVEN, LeafRanks(2, 1))
 
 
 # -- exhaustive and structured corpora ----------------------------------------
