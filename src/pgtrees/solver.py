@@ -479,10 +479,13 @@ def vertex_consistent(g: GameGraph, mu: Measure, v: int) -> bool:
 
 
 def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    # set-bit positions, lowest first, from one pass over the binary
+    # digits, so a mask of n bits takes O(n) time
+    s = bin(mask)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
 
 
 def zielonka(g: GameGraph) -> WinningRegions:

@@ -2,15 +2,15 @@
 
 All counting is done in exact integer arithmetic (Python ints); floats
 appear only in the exponential bound and the ratio columns of the report.
-Everything here is a pure function.  `width_recursive` keeps one table of
-widths per size, shared by all callers and extended under a lock.
+Every function here is pure and keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 # exponent constant for the exponential bound: 1 + log2(e) ~= 2.4427
@@ -29,10 +29,24 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-# _WIDTHS[m][t] == width_recursive(m, t) for m >= 1.  A row is never longer
-# than the rows of the sizes grafted below it.
-_WIDTHS: dict[int, list[int]] = {}
-_WIDTHS_LOCK = threading.Lock()
+def _width_rows(sizes: Sequence[int], h: int) -> dict[int, list[int]]:
+    """rows[m][t] == width_recursive(m, t) for t <= h, for m = 0, every
+    positive size given and every size that halving reaches from one.
+
+    A row is summed from its two halves' rows, so the rows are filled
+    bottom-up, smallest size first, without recursion.
+    """
+    reached, stack = set(), list(sizes)
+    while stack:
+        m = stack.pop()
+        if m > 0 and m not in reached:
+            reached.add(m)
+            stack += (m // 2, m - 1 - m // 2)
+    rows = {0: [0] * (h + 1)}
+    for m in sorted(reached):  # halves are smaller, so their rows are ready
+        left, right = rows[m // 2], rows[m - 1 - m // 2]
+        rows[m] = list(accumulate(map(add, left[1:], right[1:]), initial=1))
+    return rows
 
 
 def width_recursive(n: int, h: int) -> int:
@@ -41,32 +55,11 @@ def width_recursive(n: int, h: int) -> int:
     Bases: 0 for n = 0, 1 for h = 0 (and n >= 1).  Otherwise the sum of
     the widths of the three grafted parts: a height-reduced middle and
     the two halves n//2 and n-1-n//2 at full height.  Evaluated bottom-up
-    over the heights, so a large h needs no deep Python recursion.
+    over the sizes and heights, so a large n or h needs no Python recursion.
     """
     if n < 0 or h < 0:
         raise ValueError("n and h must be nonnegative")
-    if n == 0:
-        return 0
-    row = _WIDTHS.get(n, ())
-    if h < len(row):
-        return row[h]  # rows only ever grow, so reading one needs no lock
-    with _WIDTHS_LOCK:
-        rows = _WIDTHS
-        # the sizes whose rows stop below height h, found from n downward
-        short, stack = set(), [n]
-        while stack:
-            m = stack.pop()
-            if m and m not in short and len(rows.get(m, ())) <= h:
-                short.add(m)
-                stack += (m // 2, m - 1 - m // 2)
-        zeros = [0] * (h + 1)
-        for m in sorted(short):  # halves are smaller, so their rows are ready
-            row = rows.setdefault(m, [1])
-            left = rows.get(m // 2, zeros)
-            right = rows.get(m - 1 - m // 2, zeros)
-            for t in range(len(row), h + 1):
-                row.append(row[t - 1] + left[t] + right[t])
-        return rows[n][h]
+    return _width_rows([n], h)[n][h]
 
 
 def width_closed_form(n: int, h: int) -> int:
@@ -163,6 +156,7 @@ def width_report(n_values: Sequence[int], h_values: Sequence[int]) -> WidthTable
     """
     if not n_values or not h_values:
         raise ValueError("both grids must be nonempty")
+    halves = _width_rows([n // 2 for n in n_values], max(h_values))
     table = WidthTable()
     for n in n_values:
         for h in h_values:
@@ -172,7 +166,7 @@ def width_report(n_values: Sequence[int], h_values: Sequence[int]) -> WidthTable
             if not w <= bb <= bo:
                 raise AssertionError(f"bound ordering violated at ({n}, {h})")
             be = bound_exponential(n, h) if n >= 2 else math.nan
-            half = width_recursive(n // 2, h)
+            half = halves[n // 2][h]
             table.add(
                 WidthRow(
                     n=n,

@@ -10,6 +10,7 @@ from pgtrees.solver import (
     SLICE,
     LeafRanks,
     Measure,
+    _bits,
     _components,
     brute_force_solve,
     edge_consistent,
@@ -328,6 +329,11 @@ def test_zielonka_deep_priority_path():
     n = 3000
     g = GameGraph([EVEN] * n, range(1, n + 1), [[max(i - 1, 0)] for i in range(n)], d=n)
     assert zielonka(g).odd == frozenset(range(n))
+
+
+def test_bits_lists_set_positions_in_order():
+    for mask in (0, 1, 5, (1 << 4999) | 5, (1 << 3000) - 1):
+        assert list(_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def test_zielonka_deterministic():

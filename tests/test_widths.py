@@ -59,6 +59,14 @@ def test_recursion_deep_height():
     # a height far past the recursion limit
     assert width_recursive(3, 500) == width_closed_form(3, 500)
     assert width_recursive(500, 500) == width_closed_form(500, 500)
+    assert width_recursive(10**6, 40) == width_closed_form(10**6, 40)
+
+
+def test_recursion_domain():
+    with pytest.raises(ValueError):
+        width_recursive(-1, 2)
+    with pytest.raises(ValueError):
+        width_recursive(2, -1)
 
 
 def test_closed_form_hand_values():
@@ -180,6 +188,16 @@ def test_report_ratio_half_monotone_in_h():
     for n in (4, 9, 33):
         ratios = [width_report([n], [h])[(n, h)].ratio_half for h in range(1, 8)]
         assert all(a <= b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_report_ratio_half_values():
+    memo = {}
+    for row in width_report(range(1, 65), range(1, 7)):
+        if row.n == 1:
+            assert row.ratio_half == math.inf
+        else:
+            half = naive_width(row.n // 2, row.h, memo)
+            assert row.ratio_half == naive_width(row.n, row.h, memo) / half
 
 
 def test_report_computes_large_rows():
