@@ -57,20 +57,19 @@ therefore configurable for testing.
 
 Which measure is cheap depends on the game more than on eta: vertices
 the measured player loses climb all the way to TOP, while those it wins
-stay low.  So `solve` races the two players' measures, each over the
-tree sized by its own opponent's vertex count (eta for the measured
-player, n - eta for the other).  The measured run goes first, in slices
-of SLICE lifts; a game it finishes within one slice never starts the
-other run.  Otherwise the two take turns, one slice each, and the first
-to reach its fixpoint decides, since either fixpoint gives both regions.
-When the opponent finishes first, the vertices it wins are set to TOP
-in the measured player's measure and that run lifts to its fixpoint
-once more.  TOP is their value in the least fixpoint, and the partial
-run's values lie below it too, so lifting from there reaches the same
-least fixpoint; as a vertex at TOP is never lifted, the second run works
-only on the measured player's winning region.  SLICE is a fixed constant:
-a switch costs one generator resume, and a game whose measured run
-needs at most SLICE lifts never pays for the other run.
+stay low.  So the measured run first probes the game for SLICE lifts; a
+game it finishes within them is done.  Otherwise the components before
+the one it paused in are final, and the others are decided one at a
+time, sinks first, as in Oink (van Dijk, TACAS 2018): both players'
+attractors of everything decided are removed, and what stays undecided
+of a component is a closed subgame.  A single vertex there is decided by
+its self-loop, anything larger by a race of both players' measures, each
+over the tree sized by the subgame's own count of its opponent's parity,
+one slice each in turn until one reaches its fixpoint (`_decompose`).
+Then the vertices the measured player loses go to TOP, their value in
+the least fixpoint, and its measure lifts once more from the probe's
+values, which lie below that fixpoint too; so it reaches the same least
+fixpoint, lifting only the measured player's winning region.
 
 `zielonka` (recursive attractor decomposition) and `brute_force_solve`
 (positional strategy enumeration) are independent oracles used to
@@ -90,8 +89,8 @@ from .game import EVEN, ODD, GameError, GameGraph
 from .trees import subtree_sizes
 
 WORKLIST_POLICIES = ("fifo", "lifo", "random")
-# lifts a worklist run makes before it yields to the other player's run
-SLICE = 1024
+# lifts of the measured player's probe, and of each turn in a race
+SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,9 @@ class SolveStats:
     player: int          # measured player
     eta: int             # min(#odd-priority, #even-priority) vertices
     tree_width: int      # leaves of the tree actually used
-    lifts: int           # calls of `lift`, summed over both players' runs
+    lifts: int           # calls of `lift`, summed over every run
     changes: int         # lifts that increased a value, summed likewise
-    decided_by: int      # player whose measure reached its fixpoint first
+    subgames: int        # subgame races run; 0 when the probe finishes
 
 
 @dataclass
@@ -121,15 +120,15 @@ class SolveResult:
     measure: "Measure"   # final labelling, for inspection and tests
 
 
-def live_levels(g: GameGraph, player: int) -> list[int]:
-    """Distinct opponent-parity priorities present in g, ascending.
+def live_levels(g: GameGraph, player: int, vertices) -> list[int]:
+    """Distinct opponent-parity priorities of these vertices, ascending.
 
     Only these can force progress: a priority of the opponent's parity
     that labels no vertex would add a measure level that nothing ever
     resets, skewing the labelling, so such levels are dropped.
     """
     opp_parity = 1 if player == EVEN else 0
-    return sorted({p for p in g.priority if p % 2 == opp_parity})
+    return sorted({p for p in map(g.priority.__getitem__, vertices) if p % 2 == opp_parity})
 
 
 class LeafRanks:
@@ -218,22 +217,27 @@ class Measure:
     __slots__ = ("values", "target", "player", "ranks", "top", "k", "strict")
 
     def __init__(self, g: GameGraph, player: int, size: int):
-        levels = live_levels(g, player)
         opp_parity = 1 if player == EVEN else 0
-        self.values = [0] * g.n
         self.player = player
-        self.ranks = leaf_ranks(size, max(len(levels), 1))
-        self.top = self.ranks.width
-        # k(p) = number of live levels with priority >= p
-        self.k = tuple(len(levels) - bisect_left(levels, p) for p in g.priority)
         self.strict = tuple(p % 2 == opp_parity for p in g.priority)
-        # every value starts at the least leaf 0, the root's stop branch,
-        # a block of its own at every depth k >= 1: an edge into a vertex
-        # at 0 admits 0, or strictly 1 (TOP at k = 0)
-        self.target = [
-            (1 if k else self.top) if strict else 0
-            for k, strict in zip(self.k, self.strict)
-        ]
+        self.values, self.k, self.target = [0] * g.n, [0] * g.n, [0] * g.n
+        self.aim(g, range(g.n), size)
+
+    def aim(self, g: GameGraph, vertices, size: int) -> None:
+        """Measure the subgame on ``vertices`` afresh, over the tree of this
+        size at their own live levels; other vertices' entries stay."""
+        levels = live_levels(g, self.player, vertices)
+        self.ranks = leaf_ranks(size, max(len(levels), 1))
+        self.top = top = self.ranks.width
+        priority, values, k, target = g.priority, self.values, self.k, self.target
+        for v in vertices:
+            # k(p) = number of live levels with priority >= p
+            k[v] = kv = len(levels) - bisect_left(levels, priority[v])
+            values[v] = 0
+            # the least leaf 0 is the root's stop branch, a block of its own
+            # at every depth k >= 1: an edge into a vertex at 0 admits 0, or
+            # strictly 1 (TOP at k = 0)
+            target[v] = (1 if kv else top) if self.strict[v] else 0
 
     def fresh_target(self, w: int) -> int:
         """Least value an edge into w admits, computed from ``values[w]``.
@@ -333,21 +337,22 @@ def _components(g: GameGraph) -> list[list[int]]:
 
 
 def _worklist(
-    g: GameGraph, mu: Measure, components: list, policy: str, seed: int, counts: list
+    g: GameGraph, mu: Measure, components: list, policy: str, seed: int, counts: list, queued: list
 ):
     """Lift mu to its least fixpoint above its current values.
 
-    A generator that pauses (yields) before the lift after every SLICE
-    lifts and ends at the fixpoint; it keeps its queue and component
-    cursor in between.  ``counts`` is ``[lifts, changes]`` and gains this
-    run's share at every pause and at the end, so runs may share one.
+    A generator that pauses (yields) its component's index before the
+    lift after every SLICE lifts and ends at the fixpoint; it keeps its
+    queue and component cursor in between.  ``counts`` is ``[lifts,
+    changes]`` and gains this run's share at every pause and at the end,
+    so runs may share one.  ``queued[v]`` is True for a vertex not to
+    push; it must hold for every predecessor outside ``components``.
     """
     preds = g.preds
     values = mu.values
     top = mu.top
     # a vertex waiting for its component's turn counts as queued, so no
     # change below it pushes it early
-    queued = [True] * g.n
     if policy == "fifo":
         queue = deque()
         pop = queue.popleft
@@ -369,7 +374,7 @@ def _worklist(
         )
     push = queue.append
     lifts = changes = 0
-    for component in components:
+    for i, component in enumerate(components):
         queue.extend(component)
         while queue:
             v = pop()
@@ -381,7 +386,7 @@ def _worklist(
                 counts[0] += lifts
                 counts[1] += changes
                 lifts = changes = 0
-                yield
+                yield i
             lifts += 1
             new = lift(g, mu, v)
             if new != old:
@@ -397,9 +402,61 @@ def _worklist(
     counts[1] += changes
 
 
-def _finished(run) -> bool:
-    # one more slice of a `_worklist` run; True once it is at its fixpoint
-    return next(run, True) is True
+def _decompose(
+    g: GameGraph, mu: Measure, components: list, start: int, full_tree: bool,
+    policy: str, seed: int, tally: list,
+) -> tuple[list, int]:
+    """Winner of every vertex, one component at a time from ``start`` on.
+
+    ``components[:start]`` are final in mu.  An attractor counts, per
+    player, each vertex's distinct successors that player has not won.
+    An undecided vertex's decided successors are won by its owner's
+    opponent, so a race pins their targets, to TOP for the measured
+    side's vertices and to 0 for the other side's: they never decide a
+    min or a max.  Returns the winners and the race count.
+    """
+    owner, succ, preds, priority = g.owner, g.succ, g.preds, g.priority
+    winner = [-1] * g.n
+    unwon = [[len(set(s)) for s in succ] for _ in (EVEN, ODD)]
+    # per player, one measure and one list of queued flags serve every
+    # race, as no vertex of an earlier subgame precedes one of a later one
+    sides = [(Measure(g, p, 1), [True] * g.n) for p in (EVEN, ODD)]
+    races = 0
+    for i, component in enumerate(components):
+        sub = [v for v in component if winner[v] < 0]
+        if i < start:
+            for v in sub:
+                winner[v] = mu.player if mu.values[v] != mu.top else 1 - mu.player
+        elif len(sub) == 1:
+            winner[sub[0]] = priority[sub[0]] % 2  # by its self-loop; EVEN is 0
+        elif sub:
+            races += 1
+            odd = sum(priority[v] % 2 for v in sub)
+            pinned = {w for v in sub for w in succ[v] if winner[w] >= 0}
+            runs = []
+            for p in (EVEN, ODD) if 2 * odd <= len(sub) else (ODD, EVEN):
+                side, queued = sides[p]
+                side.aim(g, sub, len(sub) if full_tree else max((odd, len(sub) - odd)[p], 1))
+                for w in pinned:
+                    side.target[w] = 0 if winner[w] == p else side.top
+                runs.append((side, _worklist(g, side, [sub], policy, seed, tally, queued)))
+            while next(runs[0][1], None) is not None:
+                runs.reverse()  # a slice each in turn, until one run ends
+            side = runs[0][0]
+            for v in sub:
+                winner[v] = side.player if side.values[v] != side.top else 1 - side.player
+        stack = sub
+        while stack:  # both players' attractors of what was just decided
+            w = stack.pop()
+            p = winner[w]
+            left = unwon[p]
+            for u in preds[w]:
+                if winner[u] < 0:
+                    left[u] -= 1
+                    if owner[u] == p or not left[u]:
+                        winner[u] = p
+                        stack.append(u)
+    return winner, races
 
 
 def solve(
@@ -418,15 +475,12 @@ def solve(
     picks the scheduling policy inside each strongly connected component;
     the result is the same for all of them, only the lift counts differ.
 
-    When the measured player's run needs more than one slice of SLICE
-    lifts, the opponent's measure (sized by n - eta, or by n under
-    ``full_tree``) races it, one slice each in turn.  If the opponent
-    reaches its fixpoint first, its winning region goes to TOP in the
-    measured player's measure, which stays below that measure's least
-    fixpoint, and one more run lifts it there.  So ``measure``, ``player``
-    and ``tree_width`` are the measured player's whichever side decided;
-    ``stats.decided_by`` names that side, and the lift and change counts
-    add up both runs.
+    A game the measured player's probe does not finish is decomposed
+    from the component the probe paused in (see the module docstring),
+    and the probe's measure is then completed.  So ``measure``,
+    ``player`` and ``tree_width`` are always the measured player's least
+    fixpoint over its tree; ``stats.subgames`` counts the subgame races,
+    and the lift and change counts add up every run.
     """
     counts = g.priority_counts()
     player = EVEN if counts.odd <= counts.even else ODD
@@ -434,21 +488,15 @@ def solve(
     mu = Measure(g, player, g.n if full_tree else max(eta, 1))
     components = _components(g)
     tally = [0, 0]
-    run = _worklist(g, mu, components, worklist, seed, tally)
-    decided_by = player
-    if not _finished(run):
-        rival = Measure(g, 1 - player, g.n if full_tree else g.n - eta)
-        rival_run = _worklist(g, rival, components, worklist, seed, tally)
-        while not _finished(rival_run):
-            if _finished(run):
-                break
-        else:
-            decided_by = rival.player
-            for v in range(g.n):
-                if rival.values[v] != rival.top:
-                    mu.set(v, mu.top)
-            for _ in _worklist(g, mu, components, worklist, seed, tally):
-                pass
+    start = next(_worklist(g, mu, components, worklist, seed, tally, [True] * g.n), None)
+    subgames = 0
+    if start is not None:
+        winner, subgames = _decompose(g, mu, components, start, full_tree, worklist, seed, tally)
+        for v, w in enumerate(winner):
+            if w != player:
+                mu.set(v, mu.top)
+        for _ in _worklist(g, mu, components[start:], worklist, seed, tally, [True] * g.n):
+            pass
     won = frozenset(v for v in range(g.n) if mu.values[v] != mu.top)
     lost = frozenset(range(g.n)) - won
     regions = (
@@ -462,7 +510,7 @@ def solve(
         tree_width=mu.top,
         lifts=tally[0],
         changes=tally[1],
-        decided_by=decided_by,
+        subgames=subgames,
     )
     return SolveResult(regions=regions, stats=stats, measure=mu)
 
@@ -639,6 +687,6 @@ def format_regions(regions: WinningRegions, stats: SolveStats | None = None) -> 
         lines.append(
             f"stats: player={names[stats.player]} eta={stats.eta} "
             f"tree_width={stats.tree_width} lifts={stats.lifts} "
-            f"changes={stats.changes} decided_by={names[stats.decided_by]}"
+            f"changes={stats.changes} subgames={stats.subgames}"
         )
     return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ def test_solve_verbose_stats(tmp_path, capsys):
     assert lines[0] == "EVEN: 0 1"
     assert lines[1] == "ODD:"
     assert lines[2].startswith("stats: player=")
-    assert lines[2].endswith(" decided_by=EVEN")
+    assert lines[2].endswith(" subgames=0")
 
 
 def test_solve_parse_error_names_line(tmp_path, capsys):

@@ -37,9 +37,9 @@ def seeded_games(count, n_range, d_choices, seed):
 
 def test_measure_k_even_measure():
     g = GameGraph([EVEN] * 4, [4, 3, 2, 1], [[0]] * 4, d=4)
-    assert Measure(g, EVEN, 1).k == (0, 1, 1, 2)
+    assert Measure(g, EVEN, 1).k == [0, 1, 1, 2]
     g2 = GameGraph([EVEN] * 2, [2, 1], [[0]] * 2, d=2)
-    assert Measure(g2, EVEN, 1).k == (0, 1)
+    assert Measure(g2, EVEN, 1).k == [0, 1]
 
 
 def test_solve_huge_priority_uses_live_height():
@@ -53,7 +53,7 @@ def test_tree_height_is_live_level_count():
     missing = 0
     for g in seeded_games(200, (1, 8), (4, 6, 8), seed=37):
         r = solve(g)
-        levels = live_levels(g, r.stats.player)
+        levels = live_levels(g, r.stats.player, range(g.n))
         missing += len(levels) < g.d // 2
         height = max(len(levels), 1)
         padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
@@ -63,13 +63,15 @@ def test_tree_height_is_live_level_count():
 
 def test_measure_k_odd_measure():
     g = GameGraph([EVEN] * 4, [4, 3, 2, 1], [[0]] * 4, d=4)
-    assert Measure(g, ODD, 1).k == (1, 1, 2, 2)
+    assert Measure(g, ODD, 1).k == [1, 1, 2, 2]
 
 
 def test_live_levels():
     g = GameGraph([0] * 4, [1, 2, 2, 6], [[0]] * 4, d=6)
-    assert live_levels(g, EVEN) == [1]
-    assert live_levels(g, ODD) == [2, 6]
+    assert live_levels(g, EVEN, range(g.n)) == [1]
+    assert live_levels(g, ODD, range(g.n)) == [2, 6]
+    assert live_levels(g, ODD, [0, 2]) == [2]
+    assert live_levels(g, EVEN, [1, 3]) == []
 
 
 # -- leaf ranks of the padded universal tree ---------------------------------
@@ -209,18 +211,19 @@ def test_components_are_mutual_reachability_classes_sinks_first():
 
 
 def test_solve_long_path_without_recursion():
-    # far deeper than the recursion limit; each vertex is its own component
-    # and is final after one lift, its successor being final already.  Even
-    # is measured and needs n lifts; Odd's run, which loses everywhere,
-    # takes one full slice after each of Even's n // SLICE full slices
+    # far deeper than the recursion limit; each vertex is its own component.
+    # Even's probe lifts the sink end of the path for SLICE lifts and
+    # pauses; Even owns every vertex, so its attractor of the probed part
+    # decides the rest with no race, and the completion run lifts each
+    # remaining vertex once, its successor being final already
     n = 20_000
     succ = [[v + 1] for v in range(n - 1)] + [[n - 1]]
     g = GameGraph([EVEN] * n, [v % 4 + 1 for v in range(n)], succ, d=4)
     assert len(_components(g)) == n
     r = solve(g)
     assert r.regions.even == frozenset(range(n))
-    assert r.stats.lifts == n + (n // SLICE) * SLICE == 39_456
-    assert r.stats.decided_by == EVEN
+    assert r.stats.lifts == n
+    assert r.stats.subgames == 0
 
 
 # -- edge condition and lift on explicit states ------------------------------
@@ -401,21 +404,73 @@ def test_worklist_policies_reach_same_fixpoint():
         assert fifo.regions == lifo.regions == rand.regions
 
 
-def test_race_keeps_the_measured_fixpoint():
-    # games of this size need more than one slice, so the opponent's
-    # measure races the measured one; whichever side finishes first, the
-    # returned measure is the measured player's least fixpoint
-    outcomes = {policy: set() for policy in ("fifo", "lifo", "random")}
+def test_decomposition_keeps_the_measured_fixpoint():
+    # games of this size need more than one probe slice, so their later
+    # components are decided by attractors and subgame races; the returned
+    # measure is still the measured player's least fixpoint
+    raced = {policy: 0 for policy in ("fifo", "lifo", "random")}
     for i, g in enumerate(seeded_games(30, (200, 300), (2,), seed=2)):
         expected = round_robin_values(g)
         regions = zielonka(g)
-        for policy, seen in outcomes.items():
+        for policy in raced:
             r = solve(g, worklist=policy, seed=i)
             assert r.measure.values == expected
             assert r.regions == regions
-            if r.stats.lifts > SLICE:
-                seen.add(r.stats.decided_by == r.stats.player)
-    assert all(seen == {True, False} for seen in outcomes.values())
+            raced[policy] += r.stats.subgames > 0
+        # a repeated successor is one move, and an attractor counts it once
+        repeated = GameGraph(g.owner, g.priority, [s + s[:1] for s in g.succ], d=g.d)
+        r = solve(repeated)
+        assert r.measure.values == expected
+        assert r.regions == regions
+    assert all(raced.values())
+
+
+def test_decomposition_lift_count():
+    # the game of `pgtrees gen 60 8 --seed 3`: Odd's probe pauses, one
+    # subgame race runs, and the completion run lifts only the vertices
+    # Odd wins, the others being set to TOP first
+    r = solve(random_game(60, 8, (1, 3), seed=3))
+    assert r.stats.player == ODD
+    assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == (651, 427, 1)
+
+
+def test_decomposition_under_full_tree():
+    # criterion 7's games never get past the probe; these do, and their
+    # subgame races size both sides by the subgame's own vertex count
+    raced = 0
+    for g in seeded_games(6, (100, 300), (4, 8, 12, 16), seed=29):
+        full = solve(g, full_tree=True)
+        assert full.regions == solve(g).regions == zielonka(g)
+        raced += full.stats.subgames > 0
+    assert raced
+
+
+def test_single_vertex_subgame_decided_by_its_self_loop():
+    # a chain of self-loops, each its own component; v's other successor,
+    # v - 1, is won by v's owner's opponent, so no attractor takes v, and
+    # past the probe each vertex is decided by its self-loop, with no race
+    n = 3 * SLICE
+    succ = [[0]] + [[v, v - 1] for v in range(1, n)]
+    owner = [(v + 1) % 2 for v in range(n)]  # the loser of v - 1 owns v
+    priority = [v % 2 + 1 for v in range(n)]  # 1, 2, 1, 2, ...
+    g = GameGraph(owner, priority, succ, d=2)
+    r = solve(g)
+    assert r.stats.subgames == 0
+    assert r.regions == zielonka(g)
+    assert r.regions.even == frozenset(range(1, n, 2))
+
+
+def test_repeated_edge_counts_once_in_the_attractor():
+    # an Even path 0 -> 1 -> ... with a self-loop at its end, past the
+    # probe, and Odd's u, whose one move into 0 is listed twice: Even's
+    # attractor takes u, which has no self-loop to decide it by
+    n = SLICE + 45
+    succ = [[v + 1] for v in range(n - 2)] + [[n - 2], [0, 0]]
+    g = GameGraph([EVEN] * (n - 1) + [ODD], [2] * (n - 1) + [1], succ, d=2)
+    r = solve(g)
+    assert r.stats.lifts > SLICE
+    assert r.regions == zielonka(g)
+    assert n - 1 in r.regions.even
 
 
 def test_lift_count_ignores_successor_order():
@@ -462,7 +517,7 @@ def test_stats_fields():
     assert r.stats.player in (EVEN, ODD)
     assert r.stats.eta == min(counts.odd, counts.even)
     assert r.stats.tree_width == r.measure.ranks.width == r.measure.top
-    height = max(len(live_levels(g, r.stats.player)), 1)
+    height = max(len(live_levels(g, r.stats.player, range(g.n))), 1)
     padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
     assert r.stats.tree_width == leaf_count(padded)
     assert r.stats.changes <= r.stats.lifts
