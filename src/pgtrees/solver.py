@@ -63,9 +63,12 @@ the one it paused in are final, and the others are decided one at a
 time, sinks first, as in Oink (van Dijk, TACAS 2018): both players'
 attractors of everything decided are removed, and what stays undecided
 of a component is a closed subgame.  A single vertex there is decided by
-its self-loop, anything larger by a race of both players' measures, each
-over the tree sized by the subgame's own count of its opponent's parity,
-one slice each in turn until one reaches its fixpoint (`_decompose`).
+its self-loop.  Anything larger is built as a game of its own, without
+its edges into decided vertices: each such edge leaves a vertex of one
+player for a vertex won by the other, so it never decides a lift.  Both
+players' measures race on that game, each over the tree sized by its
+own count of the opponent's parity, one slice each in turn until one
+reaches its fixpoint (`_decompose`).
 Then the vertices the measured player loses go to TOP, their value in
 the least fixpoint, and its measure lifts once more from the probe's
 values, which lie below that fixpoint too; so it reaches the same least
@@ -120,15 +123,15 @@ class SolveResult:
     measure: "Measure"   # final labelling, for inspection and tests
 
 
-def live_levels(g: GameGraph, player: int, vertices) -> list[int]:
-    """Distinct opponent-parity priorities of these vertices, ascending.
+def live_levels(g: GameGraph, player: int) -> list[int]:
+    """Distinct opponent-parity priorities present in g, ascending.
 
     Only these can force progress: a priority of the opponent's parity
     that labels no vertex would add a measure level that nothing ever
     resets, skewing the labelling, so such levels are dropped.
     """
     opp_parity = 1 if player == EVEN else 0
-    return sorted({p for p in map(g.priority.__getitem__, vertices) if p % 2 == opp_parity})
+    return sorted({p for p in g.priority if p % 2 == opp_parity})
 
 
 class LeafRanks:
@@ -217,27 +220,19 @@ class Measure:
     __slots__ = ("values", "target", "player", "ranks", "top", "k", "strict")
 
     def __init__(self, g: GameGraph, player: int, size: int):
+        levels = live_levels(g, player)
         opp_parity = 1 if player == EVEN else 0
+        self.values = [0] * g.n
         self.player = player
-        self.strict = tuple(p % 2 == opp_parity for p in g.priority)
-        self.values, self.k, self.target = [0] * g.n, [0] * g.n, [0] * g.n
-        self.aim(g, range(g.n), size)
-
-    def aim(self, g: GameGraph, vertices, size: int) -> None:
-        """Measure the subgame on ``vertices`` afresh, over the tree of this
-        size at their own live levels; other vertices' entries stay."""
-        levels = live_levels(g, self.player, vertices)
         self.ranks = leaf_ranks(size, max(len(levels), 1))
-        self.top = top = self.ranks.width
-        priority, values, k, target = g.priority, self.values, self.k, self.target
-        for v in vertices:
-            # k(p) = number of live levels with priority >= p
-            k[v] = kv = len(levels) - bisect_left(levels, priority[v])
-            values[v] = 0
-            # the least leaf 0 is the root's stop branch, a block of its own
-            # at every depth k >= 1: an edge into a vertex at 0 admits 0, or
-            # strictly 1 (TOP at k = 0)
-            target[v] = (1 if kv else top) if self.strict[v] else 0
+        self.top = self.ranks.width
+        # k(p) = number of live levels with priority >= p
+        self.k = [len(levels) - bisect_left(levels, p) for p in g.priority]
+        self.strict = tuple(p % 2 == opp_parity for p in g.priority)
+        # every value starts at the least leaf 0, the root's stop branch,
+        # a block of its own at every depth k >= 1: an edge into a vertex
+        # at 0 admits 0, or strictly 1 (TOP at k = 0)
+        self.target = [(1 if k else self.top) if s else 0 for k, s in zip(self.k, self.strict)]
 
     def fresh_target(self, w: int) -> int:
         """Least value an edge into w admits, computed from ``values[w]``.
@@ -336,23 +331,21 @@ def _components(g: GameGraph) -> list[list[int]]:
     return components
 
 
-def _worklist(
-    g: GameGraph, mu: Measure, components: list, policy: str, seed: int, counts: list, queued: list
-):
+def _worklist(g: GameGraph, mu: Measure, components: list, policy: str, seed: int, counts: list):
     """Lift mu to its least fixpoint above its current values.
 
     A generator that pauses (yields) its component's index before the
     lift after every SLICE lifts and ends at the fixpoint; it keeps its
     queue and component cursor in between.  ``counts`` is ``[lifts,
     changes]`` and gains this run's share at every pause and at the end,
-    so runs may share one.  ``queued[v]`` is True for a vertex not to
-    push; it must hold for every predecessor outside ``components``.
+    so runs may share one.
     """
     preds = g.preds
     values = mu.values
     top = mu.top
     # a vertex waiting for its component's turn counts as queued, so no
     # change below it pushes it early
+    queued = [True] * g.n
     if policy == "fifo":
         queue = deque()
         pop = queue.popleft
@@ -402,6 +395,18 @@ def _worklist(
     counts[1] += changes
 
 
+def _sides(g: GameGraph, full_tree: bool) -> tuple[list[tuple[int, int]], int]:
+    """Both players with their tree sizes, the measured player first, and
+    eta.  A tree is sized by the count of its player's opponent's parity,
+    at least 1, or by n under ``full_tree``; the measured player has the
+    smaller count, eta, and ties go to Even."""
+    counts = g.priority_counts()
+    sides = [(EVEN, counts.odd), (ODD, counts.even)]
+    if counts.odd > counts.even:
+        sides.reverse()
+    return [(p, g.n if full_tree else max(size, 1)) for p, size in sides], min(counts)
+
+
 def _decompose(
     g: GameGraph, mu: Measure, components: list, start: int, full_tree: bool,
     policy: str, seed: int, tally: list,
@@ -410,17 +415,16 @@ def _decompose(
 
     ``components[:start]`` are final in mu.  An attractor counts, per
     player, each vertex's distinct successors that player has not won.
-    An undecided vertex's decided successors are won by its owner's
-    opponent, so a race pins their targets, to TOP for the measured
-    side's vertices and to 0 for the other side's: they never decide a
-    min or a max.  Returns the winners and the race count.
+    What a component keeps undecided is raced as a game of its own, with
+    only the edges between its vertices.  A dropped edge enters a vertex
+    won by the opponent of its source's owner, so it never decides a
+    lift; and every undecided vertex keeps a successor inside, or an
+    attractor would have taken it.  Returns the winners and the race
+    count.
     """
     owner, succ, preds, priority = g.owner, g.succ, g.preds, g.priority
     winner = [-1] * g.n
     unwon = [[len(set(s)) for s in succ] for _ in (EVEN, ODD)]
-    # per player, one measure and one list of queued flags serve every
-    # race, as no vertex of an earlier subgame precedes one of a later one
-    sides = [(Measure(g, p, 1), [True] * g.n) for p in (EVEN, ODD)]
     races = 0
     for i, component in enumerate(components):
         sub = [v for v in component if winner[v] < 0]
@@ -431,20 +435,17 @@ def _decompose(
             winner[sub[0]] = priority[sub[0]] % 2  # by its self-loop; EVEN is 0
         elif sub:
             races += 1
-            odd = sum(priority[v] % 2 for v in sub)
-            pinned = {w for v in sub for w in succ[v] if winner[w] >= 0}
-            runs = []
-            for p in (EVEN, ODD) if 2 * odd <= len(sub) else (ODD, EVEN):
-                side, queued = sides[p]
-                side.aim(g, sub, len(sub) if full_tree else max((odd, len(sub) - odd)[p], 1))
-                for w in pinned:
-                    side.target[w] = 0 if winner[w] == p else side.top
-                runs.append((side, _worklist(g, side, [sub], policy, seed, tally, queued)))
+            index = {v: j for j, v in enumerate(sub)}
+            inner = [[index[w] for w in succ[v] if w in index] for v in sub]
+            h = GameGraph([owner[v] for v in sub], [priority[v] for v in sub], inner, d=g.d)
+            sides, _ = _sides(h, full_tree)
+            measures = [Measure(h, p, size) for p, size in sides]
+            runs = [(m, _worklist(h, m, [range(h.n)], policy, seed, tally)) for m in measures]
             while next(runs[0][1], None) is not None:
                 runs.reverse()  # a slice each in turn, until one run ends
             side = runs[0][0]
-            for v in sub:
-                winner[v] = side.player if side.values[v] != side.top else 1 - side.player
+            for v, value in zip(sub, side.values):
+                winner[v] = side.player if value != side.top else 1 - side.player
         stack = sub
         while stack:  # both players' attractors of what was just decided
             w = stack.pop()
@@ -482,20 +483,18 @@ def solve(
     fixpoint over its tree; ``stats.subgames`` counts the subgame races,
     and the lift and change counts add up every run.
     """
-    counts = g.priority_counts()
-    player = EVEN if counts.odd <= counts.even else ODD
-    eta = min(counts.odd, counts.even)
-    mu = Measure(g, player, g.n if full_tree else max(eta, 1))
+    [(player, size), _], eta = _sides(g, full_tree)
+    mu = Measure(g, player, size)
     components = _components(g)
     tally = [0, 0]
-    start = next(_worklist(g, mu, components, worklist, seed, tally, [True] * g.n), None)
+    start = next(_worklist(g, mu, components, worklist, seed, tally), None)
     subgames = 0
     if start is not None:
         winner, subgames = _decompose(g, mu, components, start, full_tree, worklist, seed, tally)
         for v, w in enumerate(winner):
             if w != player:
                 mu.set(v, mu.top)
-        for _ in _worklist(g, mu, components[start:], worklist, seed, tally, [True] * g.n):
+        for _ in _worklist(g, mu, components[start:], worklist, seed, tally):
             pass
     won = frozenset(v for v in range(g.n) if mu.values[v] != mu.top)
     lost = frozenset(range(g.n)) - won
@@ -537,8 +536,9 @@ def _bits(mask: int):
 
 
 def zielonka(g: GameGraph) -> WinningRegions:
-    """Classical Zielonka solver: peel the attractor of the top priority,
-    solve the rest, and flip on an opponent counterexample region.
+    """Classical Zielonka solver: peel the attractor of the top priority and
+    solve the rest; where the opponent wins some of it, give the opponent
+    its attractor of that region and loop on what is left.
 
     The recursion runs on an explicit stack with one frame per pending
     call, so a game with many distinct priorities needs no Python
@@ -567,52 +567,37 @@ def zielonka(g: GameGraph) -> WinningRegions:
                     stack.append(u)
         return attr
 
-    # a frame is [alive, player, counter] for a pending call on the
-    # subgame alive whose top priority has the parity of player; counter
-    # is 0 while its first subgame is solved, then the opponent's
-    # attractor peeled for the second one
+    # a frame [alive, player, won_even, won_odd] is a call on the subgame
+    # alive, whose top priority has the parity of player, waiting for the
+    # call on alive minus that priority's attractor; won_even and won_odd
+    # are the regions it has already peeled off
     frames: list[list[int]] = []
-    alive = (1 << n) - 1
-    solved = None  # regions of the subgame solved last, or None to enter alive
-    while True:
-        if solved is None:
-            if alive:
-                top = tops = 0
-                for v in _bits(alive):
-                    if priority[v] > top:
-                        top, tops = priority[v], 0
-                    if priority[v] == top:
-                        tops |= 1 << v
-                player = EVEN if top % 2 == 0 else ODD
-                frames.append([alive, player, 0])
-                alive &= ~attract(tops, player, alive)
-                continue
-            solved = (0, 0)
-        if not frames:
-            break
-        alive, player, counter = frames[-1]
-        w_even, w_odd = solved
-        if counter:
-            frames.pop()
-            if player == EVEN:
-                solved = (w_even, w_odd | counter)
-            else:
-                solved = (w_even | counter, w_odd)
+    alive, won = (1 << n) - 1, [0, 0]  # a call on nothing returns won
+    while alive or frames:
+        if alive:
+            top = tops = 0
+            for v in _bits(alive):
+                if priority[v] > top:
+                    top, tops = priority[v], 0
+                if priority[v] == top:
+                    tops |= 1 << v
+            player = top % 2  # EVEN is 0
+            frames.append([alive, player, *won])
+            alive, won = alive & ~attract(tops, player, alive), [0, 0]
             continue
-        w_opp = w_odd if player == EVEN else w_even
-        if not w_opp:
-            frames.pop()
-            solved = (alive, 0) if player == EVEN else (0, alive)
-            continue
-        counter = attract(w_opp, 1 - player, alive)
-        frames[-1][2] = counter
-        alive &= ~counter
-        solved = None
-
-    w_even, w_odd = solved
-    return WinningRegions(
-        even=frozenset(_bits(w_even)), odd=frozenset(_bits(w_odd))
-    )
+        # the top frame's nested call has returned won
+        alive, player, *outer = frames.pop()
+        lost = won[1 - player]
+        if lost:
+            # the opponent keeps its attractor of what it won; loop on the rest
+            lost = attract(lost, 1 - player, alive)
+            outer[1 - player] |= lost
+            alive &= ~lost
+        else:
+            outer[player] |= alive
+            alive = 0
+        won = outer
+    return WinningRegions(even=frozenset(_bits(won[EVEN])), odd=frozenset(_bits(won[ODD])))
 
 
 def brute_force_solve(g: GameGraph, max_strategies: int = 10**6) -> WinningRegions:

@@ -53,7 +53,7 @@ def test_tree_height_is_live_level_count():
     missing = 0
     for g in seeded_games(200, (1, 8), (4, 6, 8), seed=37):
         r = solve(g)
-        levels = live_levels(g, r.stats.player, range(g.n))
+        levels = live_levels(g, r.stats.player)
         missing += len(levels) < g.d // 2
         height = max(len(levels), 1)
         padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
@@ -68,10 +68,8 @@ def test_measure_k_odd_measure():
 
 def test_live_levels():
     g = GameGraph([0] * 4, [1, 2, 2, 6], [[0]] * 4, d=6)
-    assert live_levels(g, EVEN, range(g.n)) == [1]
-    assert live_levels(g, ODD, range(g.n)) == [2, 6]
-    assert live_levels(g, ODD, [0, 2]) == [2]
-    assert live_levels(g, EVEN, [1, 3]) == []
+    assert live_levels(g, EVEN) == [1]
+    assert live_levels(g, ODD) == [2, 6]
 
 
 # -- leaf ranks of the padded universal tree ---------------------------------
@@ -434,6 +432,27 @@ def test_decomposition_lift_count():
     assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == (651, 427, 1)
 
 
+def test_many_subgame_races_in_one_solve():
+    # 600 disjoint 2-cycles v <-> v ^ 1, about half with a self-loop: the
+    # probe pauses early, and every cycle no attractor decides is raced
+    # as a two-vertex game of its own
+    rng = random.Random(5)
+    owners = [rng.randint(0, 1) for _ in range(1200)]
+    priorities = [rng.randint(1, 4) for _ in range(1200)]
+    succ = [[v ^ 1] + ([v] if rng.random() < 0.5 else []) for v in range(1200)]
+    g = GameGraph(owners, priorities, succ, d=4)
+    regions = zielonka(g)
+    for options, counts in (
+        (dict(worklist="fifo"), (2702, 935, 595)),
+        (dict(worklist="lifo"), (2677, 926, 595)),
+        (dict(worklist="random", seed=0), (2673, 924, 595)),
+        (dict(full_tree=True), (2899, 1107, 595)),
+    ):
+        r = solve(g, **options)
+        assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == counts
+        assert r.regions == regions
+
+
 def test_decomposition_under_full_tree():
     # criterion 7's games never get past the probe; these do, and their
     # subgame races size both sides by the subgame's own vertex count
@@ -517,7 +536,7 @@ def test_stats_fields():
     assert r.stats.player in (EVEN, ODD)
     assert r.stats.eta == min(counts.odd, counts.even)
     assert r.stats.tree_width == r.measure.ranks.width == r.measure.top
-    height = max(len(live_levels(g, r.stats.player, range(g.n))), 1)
+    height = max(len(live_levels(g, r.stats.player)), 1)
     padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
     assert r.stats.tree_width == leaf_count(padded)
     assert r.stats.changes <= r.stats.lifts
