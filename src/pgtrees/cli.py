@@ -73,8 +73,9 @@ def _cmd_verify_universal(args) -> int:
     else:
         tree = universal_tree(n, h)
     checked = 0
+    decided: dict = {}  # one embeds memo for the whole check, as in find_counterexample
     for candidate in enumerate_trees(h, n):
-        if not embeds(candidate, tree):
+        if not embeds(candidate, tree, decided):
             print(f"NOT UNIVERSAL: counterexample {candidate.to_text()}")
             return 3
         checked += 1

@@ -549,9 +549,14 @@ def zielonka(g: GameGraph) -> WinningRegions:
     priority = g.priority
     preds = g.preds
     succ_mask = [0] * n
+    with_priority: dict[int, int] = {}
     for v in range(n):
         for w in g.succ[v]:
             succ_mask[v] |= 1 << w
+        with_priority[priority[v]] = with_priority.get(priority[v], 0) | 1 << v
+    # (priority, mask of its vertices) for each priority present, highest
+    # first, so a sparse range of priorities costs nothing per absent one
+    levels = sorted(with_priority.items(), reverse=True)
 
     def attract(target: int, player: int, alive: int) -> int:
         attr = target
@@ -567,26 +572,25 @@ def zielonka(g: GameGraph) -> WinningRegions:
                     stack.append(u)
         return attr
 
-    # a frame [alive, player, won_even, won_odd] is a call on the subgame
-    # alive, whose top priority has the parity of player, waiting for the
-    # call on alive minus that priority's attractor; won_even and won_odd
-    # are the regions it has already peeled off
+    # a frame [alive, k, won_even, won_odd] is a call on the subgame alive,
+    # whose top priority is levels[k]'s, waiting for the call on alive minus
+    # that priority's attractor; won_even and won_odd are the regions it
+    # has already peeled off
     frames: list[list[int]] = []
     alive, won = (1 << n) - 1, [0, 0]  # a call on nothing returns won
+    k = 0  # a call's subgame lies in its caller's, so its top is no higher
     while alive or frames:
         if alive:
-            top = tops = 0
-            for v in _bits(alive):
-                if priority[v] > top:
-                    top, tops = priority[v], 0
-                if priority[v] == top:
-                    tops |= 1 << v
+            while not levels[k][1] & alive:
+                k += 1
+            top, tops = levels[k]
             player = top % 2  # EVEN is 0
-            frames.append([alive, player, *won])
-            alive, won = alive & ~attract(tops, player, alive), [0, 0]
+            frames.append([alive, k, *won])
+            alive, won = alive & ~attract(tops & alive, player, alive), [0, 0]
             continue
         # the top frame's nested call has returned won
-        alive, player, *outer = frames.pop()
+        alive, k, *outer = frames.pop()
+        player = levels[k][0] % 2
         lost = won[1 - player]
         if lost:
             # the opponent keeps its attractor of what it won; loop on the rest

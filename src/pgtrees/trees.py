@@ -170,27 +170,40 @@ def _rows(trees: list, budget: int) -> Iterator[tuple]:
                 stack.append(iter(fitting[spare]))
 
 
-def embeds(t1: OrderedTree, t2: OrderedTree) -> bool:
+# the row of a target subtree with nothing decided yet; never written to
+_NO_ROW: dict = {}
+
+
+def embeds(t1: OrderedTree, t2: OrderedTree, decided: dict | None = None) -> bool:
     """Does t1 embed into t2 (same height)?
 
     An embedding maps nodes injectively, children to children, preserving
     each node's left-to-right child order.  Greedy leftmost matching
     decides it: each child of u goes to the leftmost remaining child of v
     that it fits, since any valid placement shifts left onto that one.
+
+    ``decided`` is a memo the call reads and extends: ``decided[v][u]``
+    says whether subtree u embeds into subtree v.  One dict passed to many
+    calls decides each pair of subtrees once across them all; it holds its
+    trees alive, so share it only among calls whose trees share subtrees.
+    The root pair (t1, t2) is never stored, so t1 can be freed after the
+    call.
     """
     if t1.height != t2.height:
         raise ValueError(f"height mismatch: {t1.height} vs {t2.height}")
-    decided: dict[tuple[OrderedTree, OrderedTree], bool] = {}
+    if decided is None:
+        decided = {}
     # frame [u, v, i, j]: u's children before i sit on v's children before
     # j, and the pair (u.children[i], v.children[j]) is tried next
     stack = [[t1, t2, 0, 0]]
-    while stack:
+    while True:
         frame = stack[-1]
         u, v, i, j = frame
         us, vs = u.children, v.children
-        while i < len(us) and len(us) - i <= len(vs) - j:
+        k, m = len(us), len(vs)
+        while i < k and k - i <= m - j:
             a, b = us[i], vs[j]
-            fits = not a.children or (a.width <= b.width and decided.get((a, b)))
+            fits = not a.children or (a.width <= b.width and decided.get(b, _NO_ROW).get(a))
             if fits is None:
                 frame[2:] = i, j
                 stack.append([a, b, 0, 0])
@@ -198,15 +211,25 @@ def embeds(t1: OrderedTree, t2: OrderedTree) -> bool:
             i += fits
             j += 1
         else:
-            decided[u, v] = i == len(us)
             stack.pop()
-    return decided[t1, t2]
+            if not stack:
+                return i == k
+            row = decided.get(v)
+            if row is None:
+                decided[v] = row = {}
+            row[u] = i == k
 
 
 def find_counterexample(t: OrderedTree, n: int) -> OrderedTree | None:
-    """First tree (canonical order) of height(t), width <= n, not embedding in t."""
+    """First tree (canonical order) of height(t), width <= n, not embedding in t.
+
+    Every candidate is built from the same shared lower-height subtrees,
+    so one `embeds` memo serves the whole check: each pair of a candidate
+    subtree and a subtree of t is decided once, not once per candidate.
+    """
+    decided: dict = {}
     for s in enumerate_trees(t.height, n):
-        if not embeds(s, t):
+        if not embeds(s, t, decided):
             return s
     return None
 

@@ -8,10 +8,9 @@ Every function here is pure and keeps no state between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # exponent constant for the exponential bound: 1 + log2(e) ~= 2.4427
 _EXPONENT_BASE = 1.0 + math.log2(math.e)
@@ -107,8 +106,7 @@ def bound_exponential(n: int, h: int) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class WidthRow:
+class WidthRow(NamedTuple):
     n: int
     h: int
     width: int
@@ -153,30 +151,24 @@ def width_report(n_values: Sequence[int], h_values: Sequence[int]) -> WidthTable
     ratio_old_new is bound_old divided by the exact width; ratio_half is
     the exact width divided by the width at n//2 (inf when n = 1, whose
     half has width 0).  The exponential bound column is nan for n = 1.
+    Every width, and every half's, is read from one bottom-up table of
+    `width_recursive` over the grid, which `width_closed_form` equals.
     """
     if not n_values or not h_values:
         raise ValueError("both grids must be nonempty")
-    halves = _width_rows([n // 2 for n in n_values], max(h_values))
+    if min(n_values) < 1 or min(h_values) < 1:
+        raise ValueError("closed form requires n >= 1 and h >= 1")
+    widths = _width_rows(n_values, max(h_values))  # holds every n // 2 too
     table = WidthTable()
     for n in n_values:
+        row, half_row = widths[n], widths[n // 2]
         for h in h_values:
-            w = width_closed_form(n, h)
+            w = row[h]
             bb = bound_binomial(n, h)
             bo = bound_old(n, h)
             if not w <= bb <= bo:
                 raise AssertionError(f"bound ordering violated at ({n}, {h})")
             be = bound_exponential(n, h) if n >= 2 else math.nan
-            half = halves[n // 2][h]
-            table.add(
-                WidthRow(
-                    n=n,
-                    h=h,
-                    width=w,
-                    bound_binomial=bb,
-                    bound_old=bo,
-                    bound_exponential=be,
-                    ratio_old_new=bo / w,
-                    ratio_half=(w / half) if half else math.inf,
-                )
-            )
+            half = half_row[h]
+            table.add(WidthRow(n, h, w, bb, bo, be, bo / w, w / half if half else math.inf))
     return table

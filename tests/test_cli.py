@@ -99,6 +99,12 @@ def test_widths_deep_height(capsys):
     assert out.splitlines()[1].startswith("3,500,")
 
 
+def test_widths_rejects_sizes_below_one(capsys):
+    for n, h in (("0", "2"), ("-3", "2"), ("3", "0")):
+        code, out, err = run(["widths", "--n", n, "--h", h], capsys)
+        assert (code, out, err) == (2, "", "error: closed form requires n >= 1 and h >= 1\n")
+
+
 def test_widths_unwritable(tmp_path, capsys):
     code, _, err = run(
         ["widths", "--n", "3", "--h", "2", "--out", str(tmp_path / "no" / "w.csv")],

@@ -216,6 +216,36 @@ def test_enumerate_and_embeds_match_recursive_references():
                 assert embeds(s, t) == dp_embeds(s, t), (n, s)
 
 
+def test_find_counterexample_matches_a_fresh_reference_scan():
+    # one embeds memo serves every candidate of a check; the first
+    # counterexample must still be the one a memo-free dp_embeds scan finds
+    for h in range(1, 4):
+        for t in enumerate_trees(h, 4):
+            for n in (2, 4, 5):
+                fresh = next((s for s in enumerate_trees(h, n) if not dp_embeds(s, t)), None)
+                got = find_counterexample(t, n)
+                assert (got and got.to_text()) == (fresh and fresh.to_text()), (t, n)
+    # a late counterexample, candidate 175 of 341, after many memo hits
+    late = OrderedTree.from_text(
+        "((((.)))(((.))((.)(..)))(((.))((.)(..))((.)(..)(.....)(.)(..))((.))((.)(..)))"
+        "(((.)))(((.))((.)(.))))"
+    )
+    assert find_counterexample(late, 5).to_text() == "((((...)))(((..))))"
+
+
+def test_embeds_memo_reused_across_calls():
+    trees = list(enumerate_trees(3, 4))  # they share their lower-height subtrees
+    pairs = [(a, b) for a in trees for b in trees]
+    random.Random(7).shuffle(pairs)
+    decided = {}
+    for a, b in pairs:
+        assert embeds(a, b, decided) == embeds(a, b), (a, b)
+    assert decided
+    # the root pair is never stored, so a memo does not keep a checked tree alive
+    roots = set(trees)
+    assert not any(roots & row.keys() for row in decided.values())
+
+
 def test_verify_universal():
     assert verify_universal(universal_tree(3, 2), 3)
     complete = OrderedTree.from_text("((...)(...)(...))")

@@ -200,6 +200,12 @@ def test_report_ratio_half_values():
             assert row.ratio_half == naive_width(row.n, row.h, memo) / half
 
 
+def test_report_widths_equal_both_formulas():
+    # the report reads widths from its own table, not from the closed form
+    for row in width_report(range(1, 65), range(1, 9)):
+        assert row.width == width_closed_form(row.n, row.h) == width_recursive(row.n, row.h)
+
+
 def test_report_computes_large_rows():
     # reported, not asserted beyond sanity: the half-width gap keeps growing
     row = width_report([1024], [64])[(1024, 64)]
