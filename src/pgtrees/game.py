@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from itertools import repeat
 from operator import mod
 from typing import Iterable, NamedTuple, Sequence
@@ -118,45 +119,36 @@ def normalize_priorities(raw: Sequence[int]) -> tuple[list[int], int]:
     return shifted, top + (top % 2)
 
 
-# One vertex record: id, priority, owner, comma separated successors and an
-# optional quoted name.  The ';' terminator is stripped before matching.
-_VERTEX_RE = re.compile(
-    r"\s*(\d+)\s+(\d+)\s+([01])(?:\s+(\d+(?:\s*,\s*\d+)*))?\s*(?:\"[^\"]*\")?\s*"
+# A quoted name, closed by its quote or by the end of its line (';' and '--'
+# are literal inside), or a '--' comment to the end of the line.
+_COMMENT_RE = re.compile(r'"[^"\n]*"?|--[^\n]*')
+# The record grammar, matched record after record over the text with its
+# comments blanked: leading blanks (group 1), then a vertex (groups 2-5: id,
+# priority, owner, successors; a name spans lines only if its later lines hold
+# no ';' and its closing quote is followed by blanks to the end of its line),
+# the header (6), or other text up to a ';' outside a name (7, then the ';').
+_RECORD_RE = re.compile(
+    r'(\s*)(?:(\d+)\s+(\d+)\s+([01])(?:\s+(\d+(?:\s*,\s*\d+)*))?\s*'
+    r'(?:(?:"[^"\n]*"|"[^"\n]*\n[^";]*"(?=[^\S\n]*\n))\s*)?;'
+    r'|(parity\s+\d+\s*;)|((?:[^";]+|"[^"\n]*"?)*)(;)?)'
 )
-_HEADER_RE = re.compile(r"\s*parity\s+(\d+)\s*")
-# A '--' comment to the end of the line, a quoted name (closed by its quote
-# or by the end of its line; ';' and '--' are literal inside), a terminator,
-# a run of other text, or a lone dash.
-_TOKEN_RE = re.compile(r'--[^\n]*|"[^"\n]*"?|;|[^-";]+|-')
+_COMMA_RE = re.compile(r"\s*,\s*")
 
 
-def _where(text: str, pos: int) -> tuple[int, int]:
-    """1-based line and column of offset ``pos`` in ``text``."""
+def _blank_comment(m: re.Match) -> str:
+    token = m.group()
+    return token if token[0] == '"' else " " * len(token)
+
+
+def _where(text: str, record: re.Match) -> tuple[int, int]:
+    """1-based line and column of the first non-blank character of ``record``."""
+    pos = record.end(1)
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _records(text: str) -> list[tuple[str, int]]:
-    """Split on ';' into (record text without comments, offset) pairs.
-
-    The offset is that of the record's first non-blank character, or of
-    its ';' when it has none.
-    """
-    records = []
-    parts: list[str] = []
-    start: int | None = None
-    for m in _TOKEN_RE.finditer(text):
-        token = m.group()
-        if token == ";":
-            records.append(("".join(parts), m.start() if start is None else start))
-            parts = []
-            start = None
-        elif not token.startswith("--"):
-            if start is None and not token.isspace():
-                start = m.start() + len(token) - len(token.lstrip())
-            parts.append(token)
-    if start is not None:
-        raise ParseError("record is not terminated by ';'", *_where(text, start))
-    return records
+def _too_long(text: str, record: re.Match) -> ParseError:
+    limit = sys.get_int_max_str_digits()
+    return ParseError(f"number has more than {limit} digits", *_where(text, record))
 
 
 def parse_pgsolver(text: str | bytes) -> GameGraph:
@@ -168,36 +160,44 @@ def parse_pgsolver(text: str | bytes) -> GameGraph:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    records = _records(text)
-    if records and records[0][0].lstrip().startswith("parity"):
-        header, pos = records.pop(0)
-        if not _HEADER_RE.fullmatch(header):
-            raise ParseError("malformed 'parity' header", *_where(text, pos))
-    decl: dict[int, tuple[int, int, list[int], int]] = {}
-    for chunk, pos in records:
-        m = _VERTEX_RE.fullmatch(chunk)
-        if not m:
-            raise ParseError("cannot parse vertex record", *_where(text, pos))
-        vid, prio, owner, succs = m.groups()
-        vid = int(vid)
+    # the scan ends with an empty match at the end of the text
+    *records, _ = _RECORD_RE.finditer(_COMMENT_RE.sub(_blank_comment, text))
+    if records and records[-1].lastindex == 7:  # text after the last ';'
+        tail = records.pop()
+        if tail[7]:  # reported before any other error
+            raise ParseError("record is not terminated by ';'", *_where(text, tail))
+    if records and (records[0][6] or records[0][7] or "").startswith("parity"):
+        header = records.pop(0)
+        if not header[6]:
+            raise ParseError("malformed 'parity' header", *_where(text, header))
+    decl: dict[int, re.Match] = {}
+    for m in records:
+        if m[2] is None:
+            raise ParseError("cannot parse vertex record", *_where(text, m))
+        try:
+            vid = int(m[2])
+        except ValueError:
+            raise _too_long(text, m) from None
         if vid in decl:
-            raise ParseError(f"duplicate vertex id {vid}", *_where(text, pos))
-        if succs is None:
-            raise ParseError(f"vertex {vid} has no successors", *_where(text, pos))
-        decl[vid] = (int(prio), int(owner), [int(s.strip()) for s in succs.split(",")], pos)
+            raise ParseError(f"duplicate vertex id {vid}", *_where(text, m))
+        if m[5] is None:
+            raise ParseError(f"vertex {vid} has no successors", *_where(text, m))
+        decl[vid] = m
     if not decl:
         raise ParseError("no vertex records found")
-    index = {vid: i for i, vid in enumerate(decl)}
+    get = {vid: i for i, vid in enumerate(decl)}.__getitem__
     owners, raw_prios, succ_lists = [], [], []
-    for vid, (prio, owner, succs, pos) in decl.items():
-        for s in succs:
-            if s not in index:
-                raise ParseError(
-                    f"vertex {vid} references undeclared successor {s}", *_where(text, pos)
-                )
-        owners.append(owner)
-        raw_prios.append(prio)
-        succ_lists.append([index[s] for s in succs])
+    for vid, m in decl.items():
+        prio, owner, succs = m.group(3, 4, 5)
+        try:
+            succ_lists.append(list(map(get, map(int, _COMMA_RE.split(succs)))))
+            raw_prios.append(int(prio))
+        except KeyError as exc:
+            message = f"vertex {vid} references undeclared successor {exc.args[0]}"
+            raise ParseError(message, *_where(text, m)) from None
+        except ValueError:
+            raise _too_long(text, m) from None
+        owners.append(int(owner))
     priorities, d = normalize_priorities(raw_prios)
     return GameGraph(owners, priorities, succ_lists, d=d)
 

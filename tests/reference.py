@@ -1,6 +1,10 @@
-"""Reference tree code that the tests compare the package against.
+"""Reference code that the tests compare the package against.
 
-None of these is used by the package itself.  `recursive_universal_tree`
+None of these is used by the package itself.  `reference_parse_pgsolver`
+reads PGSolver text in two steps: a tokenizer splits the text into
+comment-free records at each ';' outside a name, then each record is
+matched against a vertex grammar; `game.parse_pgsolver` does both in one
+regex scan and must agree with it on every text.  `recursive_universal_tree`
 is the universal tree's defining recursion, which `trees.universal_tree`
 computes height by height; `recursive_enumerate_trees` enumerates trees
 by recursion over the root's children, which `trees.enumerate_trees`
@@ -12,10 +16,92 @@ tree's leaves.  All of them recurse once or twice per level, so they
 suit the shallow trees of the tests only.
 """
 
+import re
 from functools import lru_cache
 from typing import Iterator
 
+from pgtrees.game import GameGraph, ParseError, normalize_priorities
 from pgtrees.trees import OrderedTree
+
+# One vertex record: id, priority, owner, comma separated successors and an
+# optional quoted name.  The ';' terminator is stripped before matching.
+_VERTEX_RE = re.compile(
+    r"\s*(\d+)\s+(\d+)\s+([01])(?:\s+(\d+(?:\s*,\s*\d+)*))?\s*(?:\"[^\"]*\")?\s*"
+)
+_HEADER_RE = re.compile(r"\s*parity\s+(\d+)\s*")
+# A '--' comment to the end of the line, a quoted name (closed by its quote
+# or by the end of its line; ';' and '--' are literal inside), a terminator,
+# a run of other text, or a lone dash.
+_TOKEN_RE = re.compile(r'--[^\n]*|"[^"\n]*"?|;|[^-";]+|-')
+
+
+def _where(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _records(text: str) -> list[tuple[str, int]]:
+    """Split on ';' into (record text without comments, offset) pairs.
+
+    The offset is that of the record's first non-blank character, or of
+    its ';' when it has none.
+    """
+    records = []
+    parts: list[str] = []
+    start: int | None = None
+    for m in _TOKEN_RE.finditer(text):
+        token = m.group()
+        if token == ";":
+            records.append(("".join(parts), m.start() if start is None else start))
+            parts = []
+            start = None
+        elif not token.startswith("--"):
+            if start is None and not token.isspace():
+                start = m.start() + len(token) - len(token.lstrip())
+            parts.append(token)
+    if start is not None:
+        raise ParseError("record is not terminated by ';'", *_where(text, start))
+    return records
+
+
+def reference_parse_pgsolver(text: str) -> GameGraph:
+    """Tokenize into records, then match each against the vertex grammar.
+
+    Integers of more than the interpreter's digit limit raise its own
+    ``ValueError``, not a `ParseError`.
+    """
+    records = _records(text)
+    if records and records[0][0].lstrip().startswith("parity"):
+        header, pos = records.pop(0)
+        if not _HEADER_RE.fullmatch(header):
+            raise ParseError("malformed 'parity' header", *_where(text, pos))
+    decl: dict[int, tuple[int, int, list[int], int]] = {}
+    for chunk, pos in records:
+        m = _VERTEX_RE.fullmatch(chunk)
+        if not m:
+            raise ParseError("cannot parse vertex record", *_where(text, pos))
+        vid, prio, owner, succs = m.groups()
+        vid = int(vid)
+        if vid in decl:
+            raise ParseError(f"duplicate vertex id {vid}", *_where(text, pos))
+        if succs is None:
+            raise ParseError(f"vertex {vid} has no successors", *_where(text, pos))
+        decl[vid] = (int(prio), int(owner), [int(s.strip()) for s in succs.split(",")], pos)
+    if not decl:
+        raise ParseError("no vertex records found")
+    index = {vid: i for i, vid in enumerate(decl)}
+    owners, raw_prios, succ_lists = [], [], []
+    for vid, (prio, owner, succs, pos) in decl.items():
+        for s in succs:
+            if s not in index:
+                raise ParseError(
+                    f"vertex {vid} references undeclared successor {s}", *_where(text, pos)
+                )
+        owners.append(owner)
+        raw_prios.append(prio)
+        succ_lists.append([index[s] for s in succs])
+    priorities, d = normalize_priorities(raw_prios)
+    return GameGraph(owners, priorities, succ_lists, d=d)
 
 
 @lru_cache(maxsize=None)

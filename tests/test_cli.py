@@ -1,5 +1,9 @@
 """Command line behaviour and exit codes."""
 
+import sys
+
+import pytest
+
 from pgtrees.cli import main
 from pgtrees.game import EVEN, GameGraph, parse_pgsolver, random_game, serialize_pgsolver
 from pgtrees.solver import solve, zielonka
@@ -38,6 +42,17 @@ def test_solve_parse_error_names_line(tmp_path, capsys):
     assert code == 2
     assert "vertex 0 has no successors" in err
     assert "line 2" in err
+
+
+def test_solve_reports_an_overlong_number_as_a_parse_error(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    path = tmp_path / "long.pg"
+    path.write_text(f"parity 1;\n0 2 0 1;\n  1 1 1 {'9' * (limit + 1)};\n")
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: number has more than {limit} digits (line 3, column 3)\n"
 
 
 def test_solve_missing_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Game graph construction, the PGSolver format, and the generator."""
 
 import random
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from pgtrees.game import (
     random_game,
     serialize_pgsolver,
 )
+from reference import reference_parse_pgsolver
 
 
 def test_parse_single_vertex():
@@ -88,6 +90,10 @@ def test_parse_syntax_error_reports_location():
         # an unclosed quote ends at the end of its line
         ('0 1 0 0 "open;\n;', "cannot parse vertex record (line 1, column 1)"),
         ("-- only a comment\n", "no vertex records found"),
+        # an unterminated last record is reported before any other error
+        ("parity x;\n0 1 0 0", "record is not terminated by ';' (line 2, column 1)"),
+        ('0 1 0 0 "a;b"', "record is not terminated by ';' (line 1, column 1)"),
+        ("0 1 0 0;;", "cannot parse vertex record (line 1, column 9)"),
     ]
     for text, message in cases:
         with pytest.raises(ParseError) as info:
@@ -98,6 +104,92 @@ def test_parse_syntax_error_reports_location():
 def test_parse_missing_terminator():
     with pytest.raises(ParseError, match="not terminated"):
         parse_pgsolver("parity 0;\n0 2 0 0")
+
+
+def test_parse_rejects_numbers_beyond_the_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    long = "1" * (limit + 1)
+    cases = [
+        (f"{long} 2 0 0;", "line 1, column 1"),
+        (f"0 2 0 0;\n 1 {long} 1 0;", "line 2, column 2"),
+        (f"0 2 0 0;\n 1 2 1 0,{long};", "line 2, column 2"),
+    ]
+    for text, where in cases:
+        with pytest.raises(ParseError) as info:
+            parse_pgsolver(text)
+        assert str(info.value) == f"number has more than {limit} digits ({where})"
+    # inside a name it is only text
+    assert parse_pgsolver(f'0 2 0 0 "{long}";').n == 1
+
+
+_BLANKS = [" ", " ", "\t", "\n", "\r\n", "\x1c", "\x1f", "\u3000", "\x0b", "\x85"]
+_NAMES = ['"a"', '"a;b"', '"x--y"', '"v;--x"', '""'] * 3 + ['"open', '"two\nlines"', '"p;\nq"']
+_NOISE = [";", "-", "--", '"', "parity", "parity 3;", "7", "12", "0", ",", "\n", "\u3000", "x"]
+
+
+def _fuzzed_pgsolver_text(rng: random.Random) -> str:
+    """A game text with comments, names, odd blanks and sparse ids, then noise.
+
+    Ids are sometimes repeated, successors sometimes undeclared or missing,
+    owners sometimes 2.  About a quarter of the texts are valid games.
+    """
+
+    def blank():
+        return "".join(rng.choice(_BLANKS) for _ in range(rng.choice((1, 1, 2))))
+
+    n = rng.randint(1, 5)
+    ids = rng.sample(range(rng.choice((n, 10, 40))), n)
+    if rng.random() < 0.1:
+        ids.append(rng.choice(ids))
+    parts = []
+    if rng.random() < 0.3:
+        parts.append(f"-- lead {rng.choice(_NOISE)}\n")
+    if rng.random() < 0.6:
+        parts.append(f"parity{blank()}{rng.randint(0, 50)}{blank() * rng.randint(0, 1)};{blank()}")
+    for vid in ids:
+        succs = [
+            rng.choice(ids) if rng.random() < 0.95 else rng.randint(0, 60)
+            for _ in range(rng.choice((0,) + (1, 2, 3) * 4))
+        ]
+        record = f"{vid}{blank()}{rng.randint(0, 9)}{blank()}{rng.choice('01' * 8 + '2')}"
+        if succs:
+            seps = [rng.choice((",", " ,", ", ", "\x1f,\u3000", ",\n")) for _ in succs[1:]]
+            record += blank() + "".join(f"{s}{sep}" for s, sep in zip(succs, seps + [""]))
+        if rng.random() < 0.3:
+            record += blank() * rng.randint(0, 1) + rng.choice(_NAMES)
+        record += blank() * (rng.random() < 0.3) + ";"
+        if rng.random() < 0.3:
+            record += " -- c" + rng.choice(("", ";", '"', "--")) + "\n"
+        parts.append(record + blank())
+    text = "".join(parts)
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
+        i = rng.randint(0, len(text))
+        if rng.random() < 0.8:
+            text = text[:i] + rng.choice(_NOISE) + text[i:]
+        else:
+            text = text[:i] + text[i + 1 :]
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return g.n, g.d, g.owner, g.priority, g.succ
+
+
+def test_parse_matches_reference_parser_on_fuzzed_texts():
+    rng = random.Random(2024)
+    parsed = 0
+    for _ in range(20_000):
+        text = _fuzzed_pgsolver_text(rng)
+        expected = _parse_outcome(reference_parse_pgsolver, text)
+        assert _parse_outcome(parse_pgsolver, text) == expected, text
+        parsed += not isinstance(expected, str)
+    assert parsed > 4_000  # both the graphs and the messages are compared
 
 
 def test_normalize_priorities_examples():
