@@ -47,6 +47,12 @@ def test_parse_accepts_bytes_names_and_comments():
     assert g.owner == (0, 1, 0)
     assert g.priority == (4, 3, 2)
     assert g.succ == ((1, 2), (1,), (0,))
+    # a name still open at the end of its line reads on only when the later
+    # lines hold no ';' and its closing quote ends its line
+    assert parse_pgsolver('0 1 0 0 "X\nY -- c\nZ"  \n;').n == 1
+    for text in ('0 1 0 0 "X\nY";', '0 1 0 0 "X\n;', '0 1 0 0 "X\nY;"\n;'):
+        with pytest.raises(ParseError):
+            parse_pgsolver(text)
     # any whitespace the record syntax allows may surround a successor,
     # including U+001C..U+001F, which int() alone does not strip
     g = parse_pgsolver("0 2 0 0\x1c,\u30001\x1f;\n1 1 1 0;")

@@ -5,6 +5,7 @@ from bisect import bisect_left
 
 import pytest
 
+from pgtrees import solver
 from pgtrees.game import EVEN, ODD, GameError, GameGraph, parse_pgsolver, random_game
 from pgtrees.solver import (
     SLICE,
@@ -12,6 +13,7 @@ from pgtrees.solver import (
     Measure,
     _bits,
     _components,
+    _worklist,
     brute_force_solve,
     edge_consistent,
     lift,
@@ -375,12 +377,18 @@ def test_small_tree_equals_full_tree():
             assert full.stats.tree_width > small.stats.tree_width
 
 
+def fresh_measure(g, full_tree=False):
+    """The measured player's measure at the least leaf, over the tree sized
+    by eta, or by n under ``full_tree``."""
+    counts = g.priority_counts()
+    player = EVEN if counts.odd <= counts.even else ODD
+    return Measure(g, player, g.n if full_tree else max(min(counts.odd, counts.even), 1))
+
+
 def round_robin_values(g):
     """The paper's plain lifting: sweep every vertex in order, lifting each,
     until a whole sweep changes nothing.  No worklist, no components."""
-    counts = g.priority_counts()
-    player = EVEN if counts.odd <= counts.even else ODD
-    mu = Measure(g, player, max(min(counts.odd, counts.even), 1))
+    mu = fresh_measure(g)
     changed = True
     while changed:
         changed = False
@@ -423,13 +431,75 @@ def test_decomposition_keeps_the_measured_fixpoint():
     assert all(raced.values())
 
 
+def whole_game_values(g, full_tree=False):
+    """The measured player's least fixpoint, lifted over the whole game as
+    one component: no probe, no decomposition, no completion run."""
+    mu = fresh_measure(g, full_tree)
+    for _ in _worklist(g, mu, [range(g.n)], "fifo", 0, [0, 0]):
+        pass
+    return mu.values
+
+
+def test_rounds_keep_the_measured_fixpoint(monkeypatch):
+    # d >= 4 games past the probe: a subgame where both players have two
+    # live levels is decided in rounds over trees of size 1, 2, 4, ...
+    # round_robin_values takes tens of seconds on games of this size, so
+    # the reference is the worklist over the whole game, which
+    # test_worklist_policies_reach_same_fixpoint ties to it on small games
+    decompose = solver._decompose
+    decided = []
+
+    def recorded(*args):
+        out = decompose(*args)
+        decided.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver, "_decompose", recorded)
+    sizes = []
+    for i, g in enumerate(seeded_games(30, (100, 400), (4, 8, 16), seed=37)):
+        regions = zielonka(g)
+        winners = [EVEN if v in regions.even else ODD for v in range(g.n)]
+        expected = {full: whole_game_values(g, full) for full in (False, True)}
+        for options in (
+            dict(worklist="fifo"),
+            dict(worklist="lifo"),
+            dict(worklist="random", seed=i),
+            dict(full_tree=True),
+        ):
+            decided.clear()
+            r = solve(g, **options)
+            assert r.measure.values == expected[options.get("full_tree", False)]
+            assert r.regions == regions
+            # the completion run would mend a vertex wrongly given to the
+            # measured player, so check the decomposition's winners directly
+            assert all(winner == winners for winner in decided)
+            sizes.append((r.stats.round_size, r.stats.eta))
+    # rounds ran, and some game was decided on a tree below its eta size
+    assert any(0 < size < eta for size, eta in sizes)
+    # a round over min(s, size_p) leaves is a power of two unless s >= size_p,
+    # so some round was ended by a side over its exact tree
+    assert any(size & (size - 1) for size, _ in sizes)
+
+
+def test_rounds_decide_a_large_game_on_small_trees():
+    # the eta tree is 28.8 million leaves wide, yet every round of the one
+    # subgame stays at size 2 or below
+    g = random_game(3000, 16, (1, 3), seed=1)
+    r = solve(g)
+    assert r.stats.tree_width == 28_766_465
+    assert (r.stats.lifts, r.stats.changes, r.stats.subgames, r.stats.round_size) == (
+        28171, 20075, 1, 2,
+    )
+    assert r.regions == zielonka(g)
+
+
 def test_decomposition_lift_count():
     # the game of `pgtrees gen 60 8 --seed 3`: Odd's probe pauses, one
-    # subgame race runs, and the completion run lifts only the vertices
-    # Odd wins, the others being set to TOP first
+    # subgame is decided in rounds, and the completion run lifts only the
+    # vertices Odd wins, the others being set to TOP first
     r = solve(random_game(60, 8, (1, 3), seed=3))
     assert r.stats.player == ODD
-    assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == (651, 427, 1)
+    assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == (649, 448, 1)
 
 
 def test_many_subgame_races_in_one_solve():
@@ -540,6 +610,7 @@ def test_stats_fields():
     padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
     assert r.stats.tree_width == leaf_count(padded)
     assert r.stats.changes <= r.stats.lifts
+    assert r.stats.subgames == r.stats.round_size == 0  # the probe finishes
 
 
 # -- exhaustive and structured corpora ----------------------------------------
