@@ -20,7 +20,13 @@ depth-k block".  A non-blank node of size m has m + 1 children: the stop
 branch, one leaf wide, then padded subtrees of the sizes
 `trees.subtree_sizes(m)`, the universal tree's own split rule.
 Per-height tables of child offsets locate a rank's block with one
-bisection per level.
+bisection per level.  Every leaf lies at full depth, so a block of that
+depth is a single leaf and needs no bisection: on a one-level tree every
+lookup is trivial.  The tree is immutable and cached by (size, height),
+so each keeps a memo of these lookups per prefix length and strictness,
+shared by every run and every game over it and capped at MEMO_CAP
+entries; most value changes then refresh their target with one dict
+lookup.
 
 One side is the measured player: Even when odd-priority vertices are no
 more numerous than even-priority ones, Odd otherwise.  A vertex label
@@ -104,6 +110,8 @@ from .trees import subtree_sizes
 WORKLIST_POLICIES = ("fifo", "lifo", "random")
 # lifts of the measured player's probe, and of each turn in a race
 SLICE = 256
+# successor memo entries kept per cached tree
+MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -156,9 +164,15 @@ class LeafRanks:
     ``_levels[t][m]`` holds, for a size-m node of height t >= 1, the
     start offsets of its children followed by its width, and its
     children's sizes.  The tables are built bottom-up over the heights.
+
+    The tree never changes, so ``memo[k][strict]`` maps a rank r to
+    ``successor(r, k, strict)`` for every run over the tree, filled on
+    demand by `Measure.set`.  It holds at most MEMO_CAP entries in all,
+    counted by ``entries``, so the 256 trees `leaf_ranks` caches hold at
+    most 256 * MEMO_CAP entries however many games a process solves.
     """
 
-    __slots__ = ("size", "height", "width", "_levels")
+    __slots__ = ("size", "height", "width", "_levels", "memo", "entries")
 
     def __init__(self, size: int, height: int):
         if size < 1 or height < 0:
@@ -182,6 +196,8 @@ class LeafRanks:
         self.height = height
         self.width = widths[size]
         self._levels = levels
+        self.memo = [({}, {}) for _ in range(height + 1)]
+        self.entries = 0
 
     def successor(self, r: int, k: int, strict: bool) -> int:
         """Least rank whose length-k path prefix is >= (strict: >) r's.
@@ -189,12 +205,15 @@ class LeafRanks:
         That is the first rank of the depth-k block holding r, or the
         rank just past it under ``strict``; ``width`` (TOP) when that
         block is the last one.  k = 0 prefixes are all equal, so strict
-        gives TOP and non-strict the least leaf.
+        gives TOP and non-strict the least leaf.  Every leaf lies at
+        depth ``height``, so a block of that depth is the leaf itself.
         """
         if not 0 <= r < self.width:
             raise ValueError(f"{r!r} is not a leaf rank below {self.width}")
         if not 0 <= k <= self.height:
             raise ValueError(f"prefix length {k} outside 0..{self.height}")
+        if k == self.height:
+            return r + strict
         levels = self._levels
         m = self.size
         base, end = 0, self.width
@@ -228,7 +247,7 @@ class Measure:
     ``values[w]``.
     """
 
-    __slots__ = ("values", "target", "player", "ranks", "top", "k", "strict")
+    __slots__ = ("values", "target", "rows", "player", "ranks", "top", "k", "strict")
 
     def __init__(self, g: GameGraph, player: int, size: int):
         levels = live_levels(g, player)
@@ -244,6 +263,8 @@ class Measure:
         # a block of its own at every depth k >= 1: an edge into a vertex
         # at 0 admits 0, or strictly 1 (TOP at k = 0)
         self.target = [(1 if k else self.top) if s else 0 for k, s in zip(self.k, self.strict)]
+        memo = self.ranks.memo
+        self.rows = [memo[k][s] for k, s in zip(self.k, self.strict)]
 
     def fresh_target(self, w: int) -> int:
         """Least value an edge into w admits, computed from ``values[w]``.
@@ -257,9 +278,22 @@ class Measure:
         return self.ranks.successor(r, self.k[w], self.strict[w])
 
     def set(self, v: int, value: int) -> None:
-        """Give v a new value and refresh its cached target."""
+        """Give v a new value and refresh its cached target.
+
+        The target is read from v's memo row of the tree (``rows[v]``,
+        ``ranks.memo[k[v]][strict[v]]``); a miss computes it and stores
+        it while the tree holds fewer than MEMO_CAP entries.
+        """
         self.values[v] = value
-        self.target[v] = self.fresh_target(v)
+        row = self.rows[v]
+        target = row.get(value)
+        if target is None:
+            target = self.fresh_target(v)
+            ranks = self.ranks
+            if value != self.top and ranks.entries < MEMO_CAP:
+                row[value] = target
+                ranks.entries += 1
+        self.target[v] = target
 
 
 def edge_consistent(g: GameGraph, mu: Measure, v: int, w: int) -> bool:
@@ -352,7 +386,7 @@ def _worklist(g: GameGraph, mu: Measure, components: list, policy: str, seed: in
     so runs may share one.
     """
     preds = g.preds
-    values = mu.values
+    values, target, rows = mu.values, mu.target, mu.rows
     top = mu.top
     # a vertex waiting for its component's turn counts as queued, so no
     # change below it pushes it early
@@ -396,7 +430,12 @@ def _worklist(g: GameGraph, mu: Measure, components: list, policy: str, seed: in
             if new != old:
                 if not old < new:
                     raise AssertionError("lift tried to decrease a value")
-                mu.set(v, new)
+                cached = rows[v].get(new)
+                if cached is None:
+                    mu.set(v, new)
+                else:  # `set`, inlined for a memo hit
+                    values[v] = new
+                    target[v] = cached
                 changes += 1
                 for u in preds[v]:
                     if not queued[u]:
@@ -558,6 +597,10 @@ def solve(
                 mu.set(v, mu.top)
         for _ in _worklist(g, mu, components[start:], worklist, seed, tally):
             pass
+        # the completion would silently repair a vertex wrongly given to
+        # the measured player, at the cost of its climb to TOP
+        if any(w == player and mu.values[v] == mu.top for v, w in enumerate(winner)):
+            raise AssertionError("the decomposition gave the measured player a vertex it loses")
     won = frozenset(v for v in range(g.n) if mu.values[v] != mu.top)
     lost = frozenset(range(g.n)) - won
     regions = (

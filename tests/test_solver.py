@@ -8,6 +8,7 @@ import pytest
 from pgtrees import solver
 from pgtrees.game import EVEN, ODD, GameError, GameGraph, parse_pgsolver, random_game
 from pgtrees.solver import (
+    MEMO_CAP,
     SLICE,
     LeafRanks,
     Measure,
@@ -16,6 +17,7 @@ from pgtrees.solver import (
     _worklist,
     brute_force_solve,
     edge_consistent,
+    leaf_ranks,
     lift,
     live_levels,
     solve,
@@ -111,6 +113,8 @@ def test_rank_successor_frozen_examples():
     assert ranks.successor(5, 1, False) == 3
     assert ranks.successor(6, 0, False) == 0
     assert ranks.successor(6, 0, True) == 9
+    assert ranks.successor(5, 2, False) == 5  # full depth: the leaf itself
+    assert ranks.successor(8, 2, True) == 9  # TOP
 
 
 def test_rank_successor_invalid_inputs():
@@ -167,8 +171,16 @@ def test_rank_successor_monotone():
         assert strict <= ranks.successor(s, k, True)
 
 
-def test_target_cache_matches_values():
-    # a missed refresh would leave a stale target behind
+def test_target_cache_matches_values(monkeypatch):
+    # a missed refresh would leave a stale target behind, and so would a
+    # wrong memo entry, which the trees' memos share between solves
+    trees = {}
+
+    def recorded(size, height):
+        ranks = trees[size, height] = leaf_ranks(size, height)
+        return ranks
+
+    monkeypatch.setattr(solver, "leaf_ranks", recorded)
     for i, g in enumerate(seeded_games(100, (1, 10), (2, 4, 6, 8), seed=29)):
         for policy in ("fifo", "lifo", "random"):
             mu = solve(g, worklist=policy, seed=i).measure
@@ -176,6 +188,45 @@ def test_target_cache_matches_values():
         # and so would a wrong first target, before any lift
         start = Measure(g, mu.player, mu.ranks.size)
         assert start.target == [start.fresh_target(w) for w in range(g.n)]
+    assert any(ranks.entries for ranks in trees.values())
+    for ranks in trees.values():
+        entries = 0
+        for k, rows in enumerate(ranks.memo):
+            for strict, row in enumerate(rows):
+                entries += len(row)
+                for r, target in row.items():
+                    assert target == ranks.successor(r, k, strict)
+        assert entries == ranks.entries <= MEMO_CAP
+
+
+def test_memo_stays_within_its_cap(monkeypatch):
+    # a tree of 28.8 million leaves, each vertex set to many distinct ranks
+    monkeypatch.setattr(solver, "leaf_ranks", LeafRanks)
+    g = random_game(200, 16, (1, 3), seed=1)
+    mu = Measure(g, EVEN, 1000)
+    rng = random.Random(3)
+    for _ in range(3 * MEMO_CAP):
+        mu.set(rng.randrange(g.n), rng.randrange(mu.top))
+    assert mu.ranks.entries == MEMO_CAP
+    assert sum(len(row) for rows in mu.ranks.memo for row in rows) == MEMO_CAP
+    assert mu.target == [mu.fresh_target(w) for w in range(g.n)]
+
+
+def test_vertex_consistent_does_not_read_the_memo(monkeypatch):
+    # Even measures; its value at the self-loop of priority 1 climbs
+    # 0 -> 1 -> TOP (2).  A memo entry claiming that a strict edge into
+    # rank 1 admits 1 again stops the climb below TOP; the check, which
+    # computes afresh, sees the fault.
+    g = GameGraph([ODD, EVEN], [1, 2], [[0], [1]], d=2)
+    mu = solve(g).measure
+    assert mu.player == EVEN and mu.values == [2, 0] == [mu.top, 0]
+    assert vertex_consistent(g, mu, 0)
+    poisoned = LeafRanks(1, 1)
+    poisoned.memo[1][True][1] = 1
+    monkeypatch.setattr(solver, "leaf_ranks", lambda size, height: poisoned)
+    mu = solve(g).measure
+    assert mu.values == [1, 0]
+    assert not vertex_consistent(g, mu, 0)
 
 
 # -- strongly connected components -------------------------------------------
@@ -500,6 +551,21 @@ def test_decomposition_lift_count():
     r = solve(random_game(60, 8, (1, 3), seed=3))
     assert r.stats.player == ODD
     assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == (649, 448, 1)
+
+
+def test_completion_rejects_a_lost_vertex_given_to_the_measured_player(monkeypatch):
+    # the completion run would lift that vertex to TOP and keep the
+    # regions right, so only the guard after it shows the fault
+    decompose = solver._decompose
+
+    def wrong(g, mu, *args):
+        winner, subgames, largest = decompose(g, mu, *args)
+        winner[winner.index(1 - mu.player)] = mu.player
+        return winner, subgames, largest
+
+    monkeypatch.setattr(solver, "_decompose", wrong)
+    with pytest.raises(AssertionError, match="gave the measured player a vertex it loses"):
+        solve(random_game(60, 8, (1, 3), seed=3))
 
 
 def test_many_subgame_races_in_one_solve():
