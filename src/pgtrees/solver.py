@@ -56,10 +56,19 @@ TOP.  A lift at v reads only v's successors, so the worklist takes the
 strongly connected components sinks first (`_components`) and lifts
 each to its fixpoint before the next: a component starts only once
 every component it can reach is final, and none of its vertices is
-lifted while those still climb.  Lifting is a chaotic iteration of a
-monotone operator, so neither this order nor the worklist policy inside
-a component changes the fixpoint, only the lift counts; the policy is
-therefore configurable for testing.
+lifted while those still climb.  Inside a component the default policy
+is LIFO over the component listed in reverse DFS finishing order, so
+the first vertex lifted is the first whose search finished, and a
+vertex tends to be lifted after the vertices it reaches.  Lifting is a
+chaotic iteration of a monotone operator, so neither the component
+order nor the policy changes the fixpoint, only the lift counts; FIFO
+and a seeded random order remain for testing.  When v's value changes,
+only the predecessors u with v's new target above u's value are queued.
+That skips no lift that could change a value: a vertex off the queue is
+consistent, and stays so while v's new target is at most its value.  An
+opponent vertex needs every successor's target at most its value, and
+only v's has moved; a measured vertex needs one, and v's new target
+still serves if v's old one did.
 
 Which measure is cheap depends on the game more than on eta: vertices
 the measured player loses climb all the way to TOP, while those it wins
@@ -323,55 +332,70 @@ def lift(g: GameGraph, mu: Measure, v: int) -> int:
 
 
 def _components(g: GameGraph) -> list[list[int]]:
-    """Strongly connected components of g, sinks first, each sorted.
+    """Strongly connected components of g, sinks first, each in reverse
+    DFS finishing order.
 
     Every edge stays inside its component or enters an earlier one, so a
-    component comes before every component that can reach it.  This is
-    Tarjan's algorithm with an explicit stack of successor iterators, so
-    long paths need no Python recursion.  A vertex is numbered by its
-    position on the component stack, which is where its component starts
-    if it turns out to be the root; ``low[v]`` is -1 before v is found and
-    n once its component is out, above every position.
+    component comes before every component that can reach it.  The search
+    starts from the vertices in ascending order and visits each vertex's
+    successors in ascending order, so neither the components nor their
+    order depend on the order of a successor list.
+
+    This is Tarjan's algorithm with an explicit stack of successor
+    iterators, so long paths need no Python recursion.  A vertex found
+    but not yet in a component is either on the search path (``frames``)
+    or, once its search has ended, on ``finished``; together they make
+    Tarjan's component stack.  A vertex is numbered by their count when
+    it is found, which is where its component starts if it turns out to
+    be the root; ``low[v]`` is -1 before v is found and n once its
+    component is out, above every position.  When a root's search ends,
+    the rest of its component is what finished after the root was found:
+    the tail of ``finished``.  The component lists the root first and its
+    first-finished vertex last.
     """
     n = g.n
     succ = g.succ
     low = [-1] * n
-    stack: list[int] = []
+    finished: list[int] = []
     components = []
     for root in range(n):
         if low[root] >= 0:
             continue
         low[root] = 0
-        stack.append(root)
-        frames = [(root, iter(succ[root]), 0)]
+        s = succ[root]
+        frames = [(root, iter(sorted(s) if len(s) > 1 else s), 0)]
         while frames:
             v, successors, pos = frames[-1]
             lv = low[v]
             for w in successors:
                 lw = low[w]
                 if lw < 0:
-                    low[w] = lw = len(stack)
-                    frames.append((w, iter(succ[w]), lw))
-                    stack.append(w)
+                    low[w] = lw = len(frames) + len(finished)
+                    s = succ[w]
+                    frames.append((w, iter(sorted(s) if len(s) > 1 else s), lw))
                     break
                 if lw < lv:
                     low[v] = lv = lw
             else:
                 frames.pop()
                 if lv < pos:
+                    finished.append(v)
                     u = frames[-1][0]
                     if lv < low[u]:
                         low[u] = lv
-                elif pos == len(stack) - 1:
-                    stack.pop()
+                # the path is as long as when v was found, so finished
+                # then held pos - len(frames) vertices
+                elif pos - len(frames) == len(finished):
                     low[v] = n
                     components.append([v])
                 else:
-                    component = stack[pos:]
-                    del stack[pos:]
+                    first = pos - len(frames)
+                    component = finished[first:]
+                    del finished[first:]
+                    component.append(v)
                     for w in component:
                         low[w] = n
-                    component.sort()
+                    component.reverse()
                     components.append(component)
     return components
 
@@ -437,8 +461,11 @@ def _worklist(g: GameGraph, mu: Measure, components: list, policy: str, seed: in
                     values[v] = new
                     target[v] = cached
                 changes += 1
+                # a vertex off the queue is consistent, and stays so while
+                # v's new target does not exceed its value
+                t = target[v]
                 for u in preds[v]:
-                    if not queued[u]:
+                    if not queued[u] and t > values[u]:
                         queued[u] = True
                         push(u)
     counts[0] += lifts
@@ -485,15 +512,16 @@ def _decompose(
     player has one live level is raced instead: both measures over their
     full trees, a slice each in turn, until one reaches its fixpoint.  A
     one-level tree of size s is only s + 1 leaves wide, so rounds there
-    repeat the climb that the race makes once; on d = 2 games they cost
-    about 30% more lifts.
+    repeat the climb that the race makes once; on the benchmark's d = 2
+    games they cost 55% more lifts.
 
     Returns the winners, the subgame count and the largest tree size a
     round used, 0 when none ran.
     """
     owner, succ, preds, priority = g.owner, g.succ, g.preds, g.priority
     winner = [-1] * g.n
-    unwon = [[len(set(s)) for s in succ] for _ in (EVEN, ODD)]
+    distinct = [len(set(s)) for s in succ]
+    unwon = [distinct, distinct.copy()]  # indexed by player, EVEN = 0
     subgames = largest = 0
 
     def attract(stack: list) -> None:
@@ -561,7 +589,7 @@ def solve(
     g: GameGraph,
     *,
     full_tree: bool = False,
-    worklist: str = "fifo",
+    worklist: str = "lifo",
     seed: int = 0,
 ) -> SolveResult:
     """Winning regions by lifting over the compact universal tree.
@@ -570,8 +598,9 @@ def solve(
     (ties to Even), so the tree size parameter is eta = min of the two
     counts.  ``full_tree=True`` sizes the tree by n instead, for
     cross-checking that the smaller tree loses nothing.  ``worklist``
-    picks the scheduling policy inside each strongly connected component;
-    the result is the same for all of them, only the lift counts differ.
+    picks the scheduling policy inside each strongly connected component,
+    LIFO by default; the result is the same for all of them, only the
+    lift counts differ.
 
     A game the measured player's probe does not finish is decomposed
     from the component the probe paused in (see the module docstring),
