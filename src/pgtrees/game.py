@@ -3,6 +3,11 @@
 Priorities live on vertices and range over 1..d with d even; player Even
 wins a play iff the highest priority occurring infinitely often is even.
 Owner code 0 means Even and 1 means Odd, matching the PGSolver convention.
+
+`parse_pgsolver` builds canonical text, the form `serialize_pgsolver` writes,
+in bulk with string methods and no loop per record.  Every other text, and
+canonical text that is not a valid game, is scanned record by record with one
+regex, which alone locates errors; the two give the same graph.
 """
 
 from __future__ import annotations
@@ -10,8 +15,8 @@ from __future__ import annotations
 import random
 import re
 import sys
-from itertools import repeat
-from operator import mod
+from itertools import islice, repeat
+from operator import add, mod
 from typing import Iterable, NamedTuple, Sequence
 
 EVEN = 0
@@ -58,7 +63,7 @@ class GameGraph:
     ):
         owner = tuple(owners)
         priority = tuple(priorities)
-        succ = tuple(tuple(s) for s in successors)
+        succ = tuple(map(tuple, successors))
         n = len(owner)
         if n == 0:
             raise GameError("a game needs at least one vertex")
@@ -77,15 +82,18 @@ class GameGraph:
                 if not 0 <= w < n:
                     raise GameError(f"vertex {v} has edge to unknown vertex {w}")
         preds: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            for w in set(succ[v]):
-                preds[w].append(v)
+        for v, s in enumerate(succ):
+            if len(s) == 1:
+                preds[s[0]].append(v)
+            else:
+                for w in set(s):
+                    preds[w].append(v)
         self.n = n
         self.d = d
         self.owner = owner
         self.priority = priority
         self.succ = succ
-        self.preds = tuple(tuple(p) for p in preds)
+        self.preds = tuple(map(tuple, preds))
 
     @property
     def edge_count(self) -> int:
@@ -133,6 +141,12 @@ _RECORD_RE = re.compile(
     r'|(parity\s+\d+\s*;)|((?:[^";]+|"[^"\n]*"?)*)(;)?)'
 )
 _COMMA_RE = re.compile(r"\s*,\s*")
+# Canonical text, as `serialize_pgsolver` and generators write it: an optional
+# header, then one record per line with single spaces, ASCII digits, at least
+# one successor and no name or comment.
+_CANONICAL_RE = re.compile(
+    r"(?:parity [0-9]+;\n)?(?:[0-9]+ [0-9]+ [01] [0-9]+(?:,[0-9]+)*;(?:\n|\Z))+"
+)
 
 
 def _blank_comment(m: re.Match) -> str:
@@ -156,10 +170,46 @@ def parse_pgsolver(text: str | bytes) -> GameGraph:
 
     Accepts an optional ``parity <max-id>;`` header, then one record per
     vertex.  Vertex ids are remapped to 0..n-1 in declaration order and
-    priorities are normalized via `normalize_priorities`.
+    priorities are normalized via `normalize_priorities`.  Canonical text
+    (see `_CANONICAL_RE`) is built in bulk; any other text, and canonical
+    text that is not a valid game, goes through the record scan, so the
+    graph or the located `ParseError` is the same either way.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    g = _parse_canonical(text)
+    return g if g is not None else _parse_records(text)
+
+
+def _parse_canonical(text: str) -> GameGraph | None:
+    """Build the game of canonical text column by column, with no loop per record.
+
+    Returns None when the text is not canonical, or is not a valid game: a
+    repeated id, an undeclared successor or a number past the digit limit.
+    The record scan then reports the error.
+    """
+    if not _CANONICAL_RE.fullmatch(text):
+        return None
+    records = text.rstrip(";\n").split(";\n")
+    if records[0].startswith("p"):
+        del records[0]
+    ids, prios, owners, succs = zip(*map(str.split, records))
+    try:
+        index = dict(zip(map(int, ids), range(len(ids))))
+        targets = list(map(index.__getitem__, map(int, ",".join(succs).split(","))))
+        raw_prios = list(map(int, prios))
+    except (KeyError, ValueError):
+        return None
+    if len(index) != len(ids):
+        return None
+    counts = map(add, map(str.count, succs, repeat(",")), repeat(1))  # commas + 1
+    succ_lists = map(islice, repeat(iter(targets)), counts)
+    priorities, d = normalize_priorities(raw_prios)
+    return GameGraph(map(int, owners), priorities, succ_lists, d=d)
+
+
+def _parse_records(text: str) -> GameGraph:
+    """Scan ``text`` record by record; raises the first located `ParseError`."""
     # the scan ends with an empty match at the end of the text
     *records, _ = _RECORD_RE.finditer(_COMMENT_RE.sub(_blank_comment, text))
     if records and records[-1].lastindex == 7:  # text after the last ';'

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from pgtrees import game
 from pgtrees.game import (
     EVEN,
     ODD,
@@ -130,16 +131,56 @@ def test_parse_rejects_numbers_beyond_the_digit_limit():
     assert parse_pgsolver(f'0 2 0 0 "{long}";').n == 1
 
 
+def test_parse_builds_canonical_text_in_bulk_and_leaves_errors_to_the_scan(monkeypatch):
+    def columns(g):
+        return g.n, g.d, g.owner, g.priority, g.succ, g.preds
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    long = "1" * (limit + 1)
+    # canonical text with a trailing newline that is not a valid game
+    cases = [
+        ("parity 1;\n0 1 0 1;\n0 2 1 0;\n", "duplicate vertex id 0 (line 3, column 1)"),
+        ("0 1 0 1;\n1 2 1 7;\n", "vertex 1 references undeclared successor 7 (line 2, column 1)"),
+        ("parity 1;\n0 1 0 1;\n1 2 2 0;\n", "cannot parse vertex record (line 3, column 1)"),
+    ]
+    if limit:
+        too_long = f"number has more than {limit} digits"
+        cases += [
+            (f"0 1 0 0;\n{long} 2 1 0;\n", f"{too_long} (line 2, column 1)"),
+            (f"parity 1;\n0 {long} 0 1;\n1 2 1 0;\n", f"{too_long} (line 2, column 1)"),
+            (f"0 1 0 0;\n1 2 1 0,{long};\n", f"{too_long} (line 2, column 1)"),
+        ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as info:
+            parse_pgsolver(text)
+        assert str(info.value) == message, text
+
+    # serialized games never reach the record scan, and parse as through it
+    texts = [serialize_pgsolver(random_game(n, 4, (1, 3), seed=n)) for n in (1, 2, 9, 60)]
+    expected = [columns(parse_pgsolver(text)) for text in texts]
+
+    class NoScan:
+        def finditer(self, text):
+            raise AssertionError("canonical text went through the record scan")
+
+    monkeypatch.setattr(game, "_RECORD_RE", NoScan())
+    assert [columns(parse_pgsolver(text)) for text in texts] == expected
+
+
 _BLANKS = [" ", " ", "\t", "\n", "\r\n", "\x1c", "\x1f", "\u3000", "\x0b", "\x85"]
 _NAMES = ['"a"', '"a;b"', '"x--y"', '"v;--x"', '""'] * 3 + ['"open', '"two\nlines"', '"p;\nq"']
 _NOISE = [";", "-", "--", '"', "parity", "parity 3;", "7", "12", "0", ",", "\n", "\u3000", "x"]
 
 
-def _fuzzed_pgsolver_text(rng: random.Random) -> str:
+def _fuzzed_pgsolver_text(rng: random.Random, canonical: bool = False) -> str:
     """A game text with comments, names, odd blanks and sparse ids, then noise.
 
     Ids are sometimes repeated, successors sometimes undeclared or missing,
-    owners sometimes 2.  About a quarter of the texts are valid games.
+    owners sometimes 2.  About a quarter of the texts are valid games.  A
+    canonical text has single spaces, newline ends and no name, comment or
+    noise; its successors are never missing, its ids are sometimes
+    zero-padded, a few hold one number past the digit limit, and over half
+    are valid games.
     """
 
     def blank():
@@ -149,6 +190,23 @@ def _fuzzed_pgsolver_text(rng: random.Random) -> str:
     ids = rng.sample(range(rng.choice((n, 10, 40))), n)
     if rng.random() < 0.1:
         ids.append(rng.choice(ids))
+    if canonical:
+        records = []
+        for vid in ids:
+            succs = [
+                rng.choice(ids) if rng.random() < 0.95 else rng.randint(0, 60)
+                for _ in range(rng.randint(1, 3))
+            ]
+            padded = f"{vid:0{rng.choice((1,) * 9 + (3,))}}"
+            owner = rng.choice("01" * 8 + "2")
+            records.append([padded, str(rng.randint(0, 9)), owner, *map(str, succs)])
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and rng.random() < 0.03:
+            rng.choice(records)[rng.choice((0, 1, -1))] = "1" * (limit + 1)
+        lines = [f"{v} {p} {o} {','.join(s)};" for v, p, o, *s in records]
+        if rng.random() < 0.6:
+            lines.insert(0, f"parity {rng.randint(0, 50)};")
+        return "\n".join(lines) + "\n" * (rng.random() < 0.8)
     parts = []
     if rng.random() < 0.3:
         parts.append(f"-- lead {rng.choice(_NOISE)}\n")
@@ -189,13 +247,23 @@ def _parse_outcome(parse, text):
 
 def test_parse_matches_reference_parser_on_fuzzed_texts():
     rng = random.Random(2024)
-    parsed = 0
+    parsed = canonical_parsed = 0
     for _ in range(20_000):
-        text = _fuzzed_pgsolver_text(rng)
-        expected = _parse_outcome(reference_parse_pgsolver, text)
-        assert _parse_outcome(parse_pgsolver, text) == expected, text
+        canonical = rng.random() < 0.25
+        text = _fuzzed_pgsolver_text(rng, canonical)
+        outcome = _parse_outcome(parse_pgsolver, text)
+        # the record scan alone gives the same graph or message
+        assert _parse_outcome(game._parse_records, text) == outcome, text
+        try:
+            expected = _parse_outcome(reference_parse_pgsolver, text)
+        except ValueError:  # the reference's own error for a number past the digit limit
+            assert isinstance(outcome, str), text
+            continue
+        assert outcome == expected, text
         parsed += not isinstance(expected, str)
+        canonical_parsed += canonical and not isinstance(expected, str)
     assert parsed > 4_000  # both the graphs and the messages are compared
+    assert canonical_parsed > 1_500
 
 
 def test_normalize_priorities_examples():
