@@ -2,7 +2,9 @@
 
 All counting is done in exact integer arithmetic (Python ints); floats
 appear only in the exponential bound and the ratio columns of the report.
-Every function here is pure and keeps no state between calls.
+`width_recursive` evaluates the defining recursion; `width_closed_form`
+and `width_report` read the closed form from one column of prefix sums
+per height.  Every function here is pure and keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -28,37 +30,39 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def _width_rows(sizes: Sequence[int], h: int) -> dict[int, list[int]]:
-    """rows[m][t] == width_recursive(m, t) for t <= h, for m = 0, every
-    positive size given and every size that halving reaches from one.
-
-    A row is summed from its two halves' rows, so the rows are filled
-    bottom-up, smallest size first, without recursion.
-    """
-    reached, stack = set(), list(sizes)
-    while stack:
-        m = stack.pop()
-        if m > 0 and m not in reached:
-            reached.add(m)
-            stack += (m // 2, m - 1 - m // 2)
-    rows = {0: [0] * (h + 1)}
-    for m in sorted(reached):  # halves are smaller, so their rows are ready
-        left, right = rows[m // 2], rows[m - 1 - m // 2]
-        rows[m] = list(accumulate(map(add, left[1:], right[1:]), initial=1))
-    return rows
-
-
 def width_recursive(n: int, h: int) -> int:
     """Width of universal_tree(n, h) by its defining recursion.
 
     Bases: 0 for n = 0, 1 for h = 0 (and n >= 1).  Otherwise the sum of
     the widths of the three grafted parts: a height-reduced middle and
     the two halves n//2 and n-1-n//2 at full height.  Evaluated bottom-up
-    over the sizes and heights, so a large n or h needs no Python recursion.
+    over the sizes that halving reaches from n and the heights up to h,
+    so a large n or h needs no Python recursion.
     """
     if n < 0 or h < 0:
         raise ValueError("n and h must be nonnegative")
-    return _width_rows([n], h)[n][h]
+    reached, stack = set(), [n]
+    while stack:
+        m = stack.pop()
+        if m > 0 and m not in reached:
+            reached.add(m)
+            stack += (m // 2, m - 1 - m // 2)
+    # rows[m][t] == width_recursive(m, t) for t <= h
+    rows = {0: [0] * (h + 1)}
+    for m in sorted(reached):  # halves are smaller, so their rows are ready
+        left, right = rows[m // 2], rows[m - 1 - m // 2]
+        rows[m] = list(accumulate(map(add, left[1:], right[1:]), initial=1))
+    return rows[n][h]
+
+
+def _column(h: int, top: int) -> tuple[list[int], list[int]]:
+    """The closed form's column for height h >= 1, for floor(lg n) <= top.
+
+    Returns (comb, sums): comb[i] = C(h-1+i, h-1) for i <= top, and
+    sums[i] = the sum of 2^i' * comb[i'] over i' < i, for i <= top + 1.
+    """
+    comb = [math.comb(h - 1 + i, i) for i in range(top + 1)]
+    return comb, list(accumulate((c << i for i, c in enumerate(comb)), initial=0))
 
 
 def width_closed_form(n: int, h: int) -> int:
@@ -70,8 +74,8 @@ def width_closed_form(n: int, h: int) -> int:
     if n < 1 or h < 1:
         raise ValueError("closed form requires n >= 1 and h >= 1")
     lg = floor_log2(n)
-    total = sum((1 << i) * math.comb(h - 1 + i, h - 1) for i in range(lg))
-    return total + (n - (1 << lg) + 1) * math.comb(h - 1 + lg, h - 1)
+    comb, sums = _column(h, lg)
+    return sums[lg] + (n - (1 << lg) + 1) * comb[lg]
 
 
 def bound_binomial(n: int, h: int) -> int:
@@ -151,24 +155,29 @@ def width_report(n_values: Sequence[int], h_values: Sequence[int]) -> WidthTable
     ratio_old_new is bound_old divided by the exact width; ratio_half is
     the exact width divided by the width at n//2 (inf when n = 1, whose
     half has width 0).  The exponential bound column is nan for n = 1.
-    Every width, and every half's, is read from one bottom-up table of
-    `width_recursive` over the grid, which `width_closed_form` equals.
+    Each h gets one closed-form column (`_column`) up to the largest
+    ceil(lg n), so every width, every half's and both binomial bounds are
+    read from it in O(1), and each n's logarithms are taken once.
     """
     if not n_values or not h_values:
         raise ValueError("both grids must be nonempty")
     if min(n_values) < 1 or min(h_values) < 1:
         raise ValueError("closed form requires n >= 1 and h >= 1")
-    widths = _width_rows(n_values, max(h_values))  # holds every n // 2 too
+    top = ceil_log2(max(n_values))
+    columns = {h: _column(h, top) for h in h_values}
     table = WidthTable()
     for n in n_values:
-        row, half_row = widths[n], widths[n // 2]
+        lg, clg = floor_log2(n), ceil_log2(n)
+        # n // 2 has floor log lg - 1; its width is 0 when n = 1
+        lead, half_lead = n - (1 << lg) + 1, n // 2 - (1 << lg >> 1) + 1
         for h in h_values:
-            w = row[h]
-            bb = bound_binomial(n, h)
-            bo = bound_old(n, h)
+            comb, sums = columns[h]
+            w = sums[lg] + lead * comb[lg]
+            bb = n * comb[lg]
+            bo = (1 << clg) * comb[clg]
             if not w <= bb <= bo:
                 raise AssertionError(f"bound ordering violated at ({n}, {h})")
             be = bound_exponential(n, h) if n >= 2 else math.nan
-            half = half_row[h]
+            half = sums[lg - 1] + half_lead * comb[lg - 1] if lg else 0
             table.add(WidthRow(n, h, w, bb, bo, be, bo / w, w / half if half else math.inf))
     return table

@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+import pgtrees.trees as trees_module
 from pgtrees.trees import (
     OrderedTree,
     embeds,
@@ -22,6 +23,12 @@ from reference import (
     recursive_enumerate_trees,
     recursive_universal_tree,
     with_stop_branches,
+)
+
+# a height-4 tree whose first counterexample of width <= 5 comes late
+LATE_COUNTEREXAMPLE_TARGET = (
+    "((((.)))(((.))((.)(..)))(((.))((.)(..))((.)(..)(.....)(.)(..))((.))((.)(..)))"
+    "(((.)))(((.))((.)(.))))"
 )
 
 # -- independent oracles -----------------------------------------------------
@@ -225,25 +232,46 @@ def test_find_counterexample_matches_a_fresh_reference_scan():
                 fresh = next((s for s in enumerate_trees(h, n) if not dp_embeds(s, t)), None)
                 got = find_counterexample(t, n)
                 assert (got and got.to_text()) == (fresh and fresh.to_text()), (t, n)
-    # a late counterexample, candidate 175 of 341, after many memo hits
-    late = OrderedTree.from_text(
-        "((((.)))(((.))((.)(..)))(((.))((.)(..))((.)(..)(.....)(.)(..))((.))((.)(..)))"
-        "(((.)))(((.))((.)(.))))"
-    )
+    # a late counterexample, candidate 176 of 341, after many memo hits
+    late = OrderedTree.from_text(LATE_COUNTEREXAMPLE_TARGET)
     assert find_counterexample(late, 5).to_text() == "((((...)))(((..))))"
 
 
 def test_embeds_memo_reused_across_calls():
-    trees = list(enumerate_trees(3, 4))  # they share their lower-height subtrees
-    pairs = [(a, b) for a in trees for b in trees]
+    # trees of one height share their lower-height subtrees; one memo serves
+    # every pair of every height, in shuffled order, and must agree with
+    # the memo-free dynamic program
+    trees = [list(enumerate_trees(h, 4)) for h in range(4)]
+    pairs = [(a, b) for level in trees for a in level for b in level]
     random.Random(7).shuffle(pairs)
     decided = {}
     for a, b in pairs:
-        assert embeds(a, b, decided) == embeds(a, b), (a, b)
+        assert embeds(a, b, decided) == dp_embeds(a, b), (a, b)
     assert decided
     # the root pair is never stored, so a memo does not keep a checked tree alive
-    roots = set(trees)
+    roots = {t for level in trees for t in level}
     assert not any(roots & row.keys() for row in decided.values())
+
+
+def test_find_counterexample_calls_embeds_once_per_candidate(monkeypatch):
+    # the benchmark counts trees checked by wrapping the module-level embeds
+    calls = [0]
+    real = trees_module.embeds
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(trees_module, "embeds", counted)
+    for n in range(1, 6):
+        for h in range(4):
+            calls[0] = 0
+            assert find_counterexample(universal_tree(n, h), n) is None
+            assert calls[0] == sum(1 for _ in enumerate_trees(h, n)), (n, h)
+    calls[0] = 0
+    late = OrderedTree.from_text(LATE_COUNTEREXAMPLE_TARGET)
+    assert find_counterexample(late, 5).to_text() == "((((...)))(((..))))"
+    assert calls[0] == 176
 
 
 def test_verify_universal():

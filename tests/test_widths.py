@@ -1,6 +1,7 @@
 """Width formulas, bounds, and the comparison report."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -228,3 +229,27 @@ def test_report_old_new_ratio_slope():
     )
     expected = (2 ** ceil_log2(n) / n) / ceil_log2(n)
     assert slope == pytest.approx(expected, rel=1e-9)
+
+
+def test_report_rows_equal_rows_from_the_recursion_and_bounds():
+    # the report reads its columns from the closed form; every row must
+    # still equal one built from the defining recursion and the bound
+    # functions, floats and nan included
+    rng = random.Random(20)
+    # n = 1, the powers of two up to 2000 and their neighbours, and a sample
+    near_powers = {(1 << k) + d for k in range(11) for d in (-1, 0, 1)} - {0}
+    n_values = sorted(near_powers | {2000} | set(rng.sample(range(1, 2001), 16)))
+    h_values = list(range(1, 65))
+    rows = list(width_report(n_values, h_values))
+    assert [(r.n, r.h) for r in rows] == [(n, h) for n in n_values for h in h_values]
+    for r in rows:
+        n, h = r.n, r.h
+        w, half = width_recursive(n, h), width_recursive(n // 2, h)
+        bo = bound_old(n, h)
+        want = (
+            n, h, w, bound_binomial(n, h), bo,
+            bound_exponential(n, h) if n >= 2 else math.nan,
+            bo / w, w / half if half else math.inf,
+        )
+        assert len(r) == len(want)
+        assert all(a == b or (a != a and b != b) for a, b in zip(r, want)), (r, want)
