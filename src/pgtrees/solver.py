@@ -11,22 +11,19 @@ vertices rest low instead of being dragged upward; without it the
 eta-sized tree is too small in games where both players win somewhere.
 
 The padded tree is fully determined by its size and height, so it is
-never built.
-A leaf is its rank 0..W-1 in leaf order and TOP is W, the tree's width
-(`LeafRanks`).  Leaf order is lexicographic path order, so every subtree
-owns a contiguous block of ranks, and "the length-k path prefix of a is
->= (or >) that of b" reads "a >= the first rank (or the end) of b's
-depth-k block".  A non-blank node of size m has m + 1 children: the stop
-branch, one leaf wide, then padded subtrees of the sizes
-`trees.subtree_sizes(m)`, the universal tree's own split rule.
+never built.  A leaf is its rank 0..W-1 in leaf order and TOP is W, the
+tree's width (`LeafRanks`).  Leaf order is lexicographic path order, so
+every subtree owns a contiguous block of ranks, and "the length-k path
+prefix of a is >= (or >) that of b" reads "a >= the first rank (or the
+end) of b's depth-k block".  A non-blank node of size m has m + 1
+children: the stop branch, one leaf wide, then padded subtrees of the
+sizes `trees.subtree_sizes(m)`, the universal tree's own split rule.
 Per-height tables of child offsets locate a rank's block with one
 bisection per level.  Every leaf lies at full depth, so a block of that
 depth is a single leaf and needs no bisection: on a one-level tree every
-lookup is trivial.  The tree is immutable and cached by (size, height),
-so each keeps a memo of these lookups per prefix length and strictness,
-shared by every run and every game over it and capped at MEMO_CAP
-entries; most value changes then refresh their target with one dict
-lookup.
+lookup is trivial.  Each cached tree memoizes these lookups for every
+run over it (`LeafRanks`), so most value changes refresh their target
+with one dict lookup.
 
 One side is the measured player: Even when odd-priority vertices are no
 more numerous than even-priority ones, Odd otherwise.  A vertex label
@@ -77,22 +74,21 @@ game it finishes within them is done.  Otherwise the components before
 the one it paused in are final, and the others are decided one at a
 time, sinks first, as in Oink (van Dijk, TACAS 2018): both players'
 attractors of everything decided are removed, and what stays undecided
-of a component is a closed subgame.  A single vertex there is decided by
-its self-loop.  Anything larger is built as a game of its own, without
-its edges into decided vertices: each such edge leaves a vertex of one
-player for a vertex won by the other, so it never decides a lift.
+of a component is a closed subgame (`_decompose`).
 
-Each player's tree, sized by its own count of the opponent's parity, is
-complete: its player wins what stays below TOP and loses the rest.  A
-measure into a smaller tree is still sound, and most games need far
-less (the bounded dominions of Jurdzinski, Paterson and Zwick, SODA
-2006, and Schewe, FSTTCS 2007).  So a subgame in which both players
-have two live levels or more is decided in rounds over trees of size
-1, 2, 4, ..., each followed by removing both players' attractors of
-what it decided.  One in which either player has a single live level,
-where a tree of size s is only s + 1 leaves wide, is raced instead:
-both measures over their full trees, one slice each in turn, until one
-reaches its fixpoint (`_decompose`).
+A subgame with at most one priority of each parity is decided by the
+Buchi loop, the universal attractor decomposition of Jurdzinski and
+Morvan (2020) over a one-level tree (`_buchi`).  Let b be its top
+priority, t the player of b's parity and o the other.  While t's
+attractor of the live b-vertices leaves a rest U, o wins its attractor
+of U, which is removed; then t wins what is left.  A peel that takes no
+b-vertex leaves t's attractor whole, so the next pass ends the loop: it
+peels at most |b| + 1 times, the width of o's one-level tree sized by
+its count of t's parity, |b|.  It lifts nothing.  Any other subgame is
+decided in rounds over trees of size 1, 2, 4, ...: a measure into any
+ordered tree is sound, each player's tree at its own size is complete,
+and most games need far less (the bounded dominions of Jurdzinski,
+Paterson and Zwick, SODA 2006, and Schewe, FSTTCS 2007).
 
 Once all is decided, the vertices the measured player loses go to TOP,
 their value in the least fixpoint, and its measure lifts once more from
@@ -117,7 +113,7 @@ from .game import EVEN, ODD, GameError, GameGraph
 from .trees import subtree_sizes
 
 WORKLIST_POLICIES = ("fifo", "lifo", "random")
-# lifts of the measured player's probe, and of each turn in a race
+# lifts of the measured player's probe
 SLICE = 256
 # successor memo entries kept per cached tree
 MEMO_CAP = 4096
@@ -140,7 +136,7 @@ class SolveStats:
     tree_width: int      # leaves of the tree actually used
     lifts: int           # calls of `lift`, summed over every run
     changes: int         # lifts that increased a value, summed likewise
-    subgames: int        # subgames raced or decided in rounds; 0 if the probe finishes
+    subgames: int        # subgames of 2+ vertices past the probe, Buchi or rounds
     round_size: int      # largest tree size of any round; 0 if no round ran
 
 
@@ -152,12 +148,8 @@ class SolveResult:
 
 
 def live_levels(g: GameGraph, player: int) -> list[int]:
-    """Distinct opponent-parity priorities present in g, ascending.
-
-    Only these can force progress: a priority of the opponent's parity
-    that labels no vertex would add a measure level that nothing ever
-    resets, skewing the labelling, so such levels are dropped.
-    """
+    """Distinct opponent-parity priorities present in g, ascending: the
+    live levels of player's measure (module docstring)."""
     opp_parity = 1 if player == EVEN else 0
     return sorted({p for p in g.priority if p % 2 == opp_parity})
 
@@ -247,8 +239,7 @@ class Measure:
 
     ``ranks`` is the padded universal tree of the given size whose height
     is the number of live levels, at least 1, so that even a game with no
-    live level gets a tree whose width grows with its size.  With every
-    opponent-parity priority present that height is d/2.
+    live level gets a tree whose width grows with its size.
     ``values[v]`` is a leaf rank of ``ranks`` or ``top`` (its width),
     starting at the least leaf 0.  ``k[w]`` and ``strict[w]`` describe
     the comparison an edge *into* w imposes, and ``target[w]`` caches the
@@ -484,67 +475,85 @@ def _sides(g: GameGraph, full_tree: bool) -> tuple[list[tuple[int, int]], int]:
     return [(p, g.n if full_tree else max(size, 1)) for p, size in sides], min(counts)
 
 
+def _attractor(g: GameGraph, target: list, player: int, live: set, left) -> list:
+    """player's attractor of target inside live, target first.  A vertex
+    of ``live`` reached by an edge joins when player owns it or when
+    ``left[u]``, its count of distinct successors outside the attractor,
+    falls to 0.  Joiners leave ``live``, and counts fall in place."""
+    owner, preds = g.owner, g.preds
+    attr = list(target)
+    for w in attr:  # attr grows while it is read
+        for u in preds[w]:
+            if u in live:
+                left[u] -= 1
+                if owner[u] == player or not left[u]:
+                    live.remove(u)
+                    attr.append(u)
+    return attr
+
+
+def _buchi(g: GameGraph, live: list, b: int, size: int, counts, winner: list, attract) -> int:
+    """Decide ``live`` by the Buchi loop (module docstring); return its peels.
+
+    ``live`` is the undecided part of a subgame with priority b on top and
+    at most one other.  ``counts[u]`` counts u's successors not won by t,
+    b's player, which for an undecided vertex of o are its live ones: o's
+    attractor would hold one with a successor won by o.  More than size +
+    1 peels raise AssertionError; o's size |b| rules that out.
+    """
+    priority = g.priority
+    t = b % 2  # EVEN is 0
+    peels = 0
+    while live:
+        rest = {v for v in live if priority[v] != b}
+        _attractor(g, [v for v in live if priority[v] == b], t, rest, {v: counts[v] for v in rest})
+        if rest:
+            peels += 1
+            if peels > size + 1:
+                raise AssertionError(f"the Buchi loop peeled more than {size + 1} times")
+        # o wins the rest U if there is one; otherwise t wins all that is live
+        won, p = (list(rest), 1 - t) if rest else (live, t)
+        for v in won:
+            winner[v] = p
+        attract(won)
+        live = [v for v in live if winner[v] < 0]
+    return peels
+
+
 def _decompose(
     g: GameGraph, mu: Measure, components: list, start: int, full_tree: bool,
     policy: str, seed: int, tally: list,
 ) -> tuple[list, int, int]:
     """Winner of every vertex, one component at a time from ``start`` on.
 
-    ``components[:start]`` are final in mu.  An attractor counts, per
-    player, each vertex's distinct successors that player has not won.
-    What a component keeps undecided is a subgame, built as a game of its
-    own with only the edges between its vertices.  A dropped edge enters a
+    ``components[:start]`` are final in mu, and ``unwon[p][u]`` counts
+    u's distinct successors that p has not won.  Every undecided vertex
+    of a subgame keeps a successor inside, or an attractor would have
+    taken it.  A subgame that is not `_buchi`'s is built as a game of its
+    own with only the edges between its vertices: a dropped edge enters a
     vertex won by the opponent of its source's owner, so it never decides
-    a lift, and whoever wins a vertex of the subgame wins it in g; every
-    undecided vertex keeps a successor inside, or an attractor would have
-    taken it.
-
-    A subgame where both players have two live levels or more is decided
-    in rounds, s = 1, 2, 4, ...  In a round each side, the measured
-    player first, lifts a fresh measure over the tree of size min(s, its
-    own size) to its least fixpoint and wins what stays below TOP, since
-    a progress measure into any ordered tree is sound.  At its own size
-    the tree is complete as well, so that side loses the rest.  The
-    second side is skipped when the first leaves nothing undecided.  Both
-    players' attractors of what the round decided are then removed.  A
-    player wins its attractor of a set it wins, so the rest is a subgame
-    with the same winners, for the next round.  A subgame where either
-    player has one live level is raced instead: both measures over their
-    full trees, a slice each in turn, until one reaches its fixpoint.  A
-    one-level tree of size s is only s + 1 leaves wide, so rounds there
-    repeat the climb that the race makes once; on the benchmark's d = 2
-    games they cost 55% more lifts.
+    a lift.  In round s each side, the measured player first, lifts a
+    fresh measure over the tree of size min(s, its own size) and wins
+    what stays below TOP; at its own size it loses the rest too.  Both
+    players' attractors of what the round decided are then removed, which
+    leaves a subgame with the same winners for the next round.
 
     Returns the winners, the subgame count and the largest tree size a
     round used, 0 when none ran.
     """
-    owner, succ, preds, priority = g.owner, g.succ, g.preds, g.priority
+    owner, succ, priority = g.owner, g.succ, g.priority
     winner = [-1] * g.n
+    undecided = set(range(g.n))
     distinct = [len(set(s)) for s in succ]
     unwon = [distinct, distinct.copy()]  # indexed by player, EVEN = 0
     subgames = largest = 0
 
-    def attract(stack: list) -> None:
-        # both players' attractors of the decided vertices on the stack
-        while stack:
-            w = stack.pop()
-            p = winner[w]
-            left = unwon[p]
-            for u in preds[w]:
-                if winner[u] < 0:
-                    left[u] -= 1
-                    if owner[u] == p or not left[u]:
-                        winner[u] = p
-                        stack.append(u)
-
-    def settle(sub: list, m: Measure, exact: bool) -> None:
-        # m measures the subgame on sub: its player wins what it keeps
-        # below TOP, and loses the rest if exact
-        for v, value in zip(sub, m.values):
-            if value != m.top:
-                winner[v] = m.player
-            elif exact:
-                winner[v] = 1 - m.player
+    def attract(decided: list) -> None:
+        # both players' attractors of the decided vertices
+        undecided.difference_update(decided)
+        for p in (EVEN, ODD):
+            for u in _attractor(g, [v for v in decided if winner[v] == p], p, undecided, unwon[p]):
+                winner[u] = p
 
     for i, component in enumerate(components):
         sub = [v for v in component if winner[v] < 0]
@@ -556,30 +565,28 @@ def _decompose(
         subgames += len(sub) > 1
         s = 1
         while sub:
-            if len(sub) == 1:
-                winner[sub[0]] = priority[sub[0]] % 2  # by its self-loop; EVEN is 0
-            else:
-                index = {v: j for j, v in enumerate(sub)}
-                inner = [[index[w] for w in succ[v] if w in index] for v in sub]
-                h = GameGraph([owner[v] for v in sub], [priority[v] for v in sub], inner, d=g.d)
-                sides, _ = _sides(h, full_tree)
-                whole = [range(h.n)]  # lifted as one component
-                if any(len(live_levels(h, p)) < 2 for p, _ in sides):
-                    measures = [Measure(h, p, size) for p, size in sides]
-                    runs = [(m, _worklist(h, m, whole, policy, seed, tally)) for m in measures]
-                    while next(runs[0][1], None) is not None:
-                        runs.reverse()  # a slice each in turn, until one run ends
-                    settle(sub, runs[0][0], True)
-                else:
-                    for p, size in sides:
-                        m = Measure(h, p, min(s, size))
-                        for _ in _worklist(h, m, whole, policy, seed, tally):
-                            pass
-                        largest = max(largest, m.ranks.size)
-                        settle(sub, m, s >= size)
-                        if all(winner[v] >= 0 for v in sub):
-                            break
-                    s *= 2
+            present = {priority[v] for v in sub}
+            if len(present) == len({p % 2 for p in present}):
+                b = max(present)
+                size = sum(priority[v] == b for v in sub)  # o's tree: its count of b's parity
+                _buchi(g, sub, b, size, unwon[b % 2], winner, attract)
+                break
+            index = {v: j for j, v in enumerate(sub)}
+            inner = [[index[w] for w in succ[v] if w in index] for v in sub]
+            h = GameGraph([owner[v] for v in sub], [priority[v] for v in sub], inner, d=g.d)
+            for p, size in _sides(h, full_tree)[0]:
+                m = Measure(h, p, min(s, size))
+                for _ in _worklist(h, m, [range(h.n)], policy, seed, tally):
+                    pass  # h is lifted as one component
+                largest = max(largest, m.ranks.size)
+                for v, value in zip(sub, m.values):
+                    if value != m.top:
+                        winner[v] = p
+                    elif s >= size:  # an exact tree: p loses the rest
+                        winner[v] = 1 - p
+                if all(winner[v] >= 0 for v in sub):
+                    break
+            s *= 2
             attract([v for v in sub if winner[v] >= 0])
             sub = [v for v in sub if winner[v] < 0]
     return winner, subgames, largest
@@ -594,22 +601,15 @@ def solve(
 ) -> SolveResult:
     """Winning regions by lifting over the compact universal tree.
 
-    The measured player is Even when eta_odd <= eta_even, Odd otherwise
-    (ties to Even), so the tree size parameter is eta = min of the two
-    counts.  ``full_tree=True`` sizes the tree by n instead, for
-    cross-checking that the smaller tree loses nothing.  ``worklist``
-    picks the scheduling policy inside each strongly connected component,
-    LIFO by default; the result is the same for all of them, only the
-    lift counts differ.
-
-    A game the measured player's probe does not finish is decomposed
-    from the component the probe paused in (see the module docstring),
-    and the probe's measure is then completed.  So ``measure``,
-    ``player`` and ``tree_width`` are always the measured player's least
-    fixpoint over its tree; ``stats.subgames`` counts the subgames
-    decided by a race or in rounds, ``stats.round_size`` is the largest
-    tree size a round used, and the lift and change counts add up every
-    run.
+    The measured player's tree is sized by eta (module docstring), or by
+    n under ``full_tree=True``, to cross-check that the smaller tree loses
+    nothing.  ``worklist`` picks the scheduling policy inside each
+    strongly connected component, LIFO by default; the result is the same
+    for all of them, only the lift counts differ.  ``measure``, ``player``
+    and ``tree_width`` are always the measured player's least fixpoint
+    over its tree, even when the game is decomposed past the probe;
+    ``stats.round_size`` is the largest tree size a round used, and the
+    lift and change counts add up every run.
     """
     [(player, size), _], eta = _sides(g, full_tree)
     mu = Measure(g, player, size)
@@ -693,24 +693,21 @@ def zielonka(g: GameGraph) -> WinningRegions:
     # first, so a sparse range of priorities costs nothing per absent one
     levels = sorted(with_priority.items(), reverse=True)
 
-    def attract(target: int, player: int, alive: int) -> int:
-        attr = target
-        stack = list(_bits(target))
+    def attract(attr: int, player: int, alive: int, stack: list) -> int:
+        # player's attractor of attr inside alive; stacked vertices have edges into attr
         while stack:
-            w = stack.pop()
-            for u in preds[w]:
-                bit = 1 << u
-                if not alive & bit or attr & bit:
-                    continue
-                if owner[u] == player or not succ_mask[u] & alive & ~attr:
-                    attr |= bit
-                    stack.append(u)
+            u = stack.pop()
+            bit = 1 << u
+            if alive & bit and not attr & bit and (
+                owner[u] == player or not succ_mask[u] & alive & ~attr
+            ):
+                attr |= bit
+                stack.extend(preds[u])
         return attr
 
-    # a frame [alive, k, won_even, won_odd] is a call on the subgame alive,
-    # whose top priority is levels[k]'s, waiting for the call on alive minus
-    # that priority's attractor; won_even and won_odd are the regions it
-    # has already peeled off
+    # a frame [alive, k, top_attr, won_even, won_odd] is a call on the
+    # subgame alive waiting for its call on alive minus top_attr, the
+    # attractor of levels[k]'s priority; won_* hold what it peeled off
     frames: list[list[int]] = []
     alive, won = (1 << n) - 1, [0, 0]  # a call on nothing returns won
     k = 0  # a call's subgame lies in its caller's, so its top is no higher
@@ -718,18 +715,20 @@ def zielonka(g: GameGraph) -> WinningRegions:
         if alive:
             while not levels[k][1] & alive:
                 k += 1
-            top, tops = levels[k]
-            player = top % 2  # EVEN is 0
-            frames.append([alive, k, *won])
-            alive, won = alive & ~attract(tops & alive, player, alive), [0, 0]
+            top, tops = levels[k][0], levels[k][1] & alive
+            top_attr = attract(tops, top % 2, alive, [u for w in _bits(tops) for u in preds[w]])
+            frames.append([alive, k, top_attr, *won])
+            alive, won = alive & ~top_attr, [0, 0]
             continue
         # the top frame's nested call has returned won
-        alive, k, *outer = frames.pop()
-        player = levels[k][0] % 2
+        alive, k, top_attr, *outer = frames.pop()
+        player = levels[k][0] % 2  # EVEN is 0
         lost = won[1 - player]
         if lost:
-            # the opponent keeps its attractor of what it won; loop on the rest
-            lost = attract(lost, 1 - player, alive)
+            # the opponent keeps its attractor of what it won and loops on the
+            # rest; lost is closed under it outside top_attr, so it grows there
+            seeds = [u for u in _bits(top_attr) if succ_mask[u] & lost]
+            lost = attract(lost, 1 - player, alive, seeds)
             outer[1 - player] |= lost
             alive &= ~lost
         else:

@@ -267,7 +267,7 @@ def test_solve_long_path_without_recursion():
     # far deeper than the recursion limit; each vertex is its own component.
     # Even's probe lifts the sink end of the path for SLICE lifts and
     # pauses; Even owns every vertex, so its attractor of the probed part
-    # decides the rest with no race, and the completion run lifts each
+    # decides the rest with no subgame, and the completion run lifts each
     # remaining vertex once, its successor being final already
     n = 20_000
     succ = [[v + 1] for v in range(n - 1)] + [[n - 1]]
@@ -463,25 +463,54 @@ def test_worklist_policies_reach_same_fixpoint():
         assert fifo.regions == lifo.regions == rand.regions
 
 
-def test_decomposition_keeps_the_measured_fixpoint():
+def record_decompose(monkeypatch) -> list:
+    """Wrap `solver._decompose` so that each solve appends the winners it
+    returned to the list given back.  The completion run would mend a
+    vertex wrongly given to the measured player, so tests check these
+    winners directly."""
+    decompose = solver._decompose
+    decided = []
+
+    def recorded(*args):
+        out = decompose(*args)
+        decided.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver, "_decompose", recorded)
+    return decided
+
+
+def test_decomposition_keeps_the_measured_fixpoint(monkeypatch):
     # games of this size need more than one probe slice, so their later
-    # components are decided by attractors and subgame races; the returned
-    # measure is still the measured player's least fixpoint
-    raced = {policy: 0 for policy in ("fifo", "lifo", "random")}
-    for i, g in enumerate(seeded_games(30, (200, 300), (2,), seed=2)):
+    # components are decided by attractors and, on d = 2, by the Buchi
+    # loop; the returned measure is still the measured player's least
+    # fixpoint.  The last game has priorities 1, 2 and 3, so Even has two
+    # live levels, Odd one, and its subgame goes to the rounds
+    decided = record_decompose(monkeypatch)
+    games = list(seeded_games(30, (200, 300), (2,), seed=2))
+    mixed = random_game(200, 4, (1, 3), seed=2)
+    games.append(GameGraph(mixed.owner, [min(p, 3) for p in mixed.priority], mixed.succ, d=4))
+    decomposed = {policy: 0 for policy in ("fifo", "lifo", "random")}
+    for i, g in enumerate(games):
         expected = round_robin_values(g)
         regions = zielonka(g)
-        for policy in raced:
+        winners = [EVEN if v in regions.even else ODD for v in range(g.n)]
+        for policy in decomposed:
+            decided.clear()
             r = solve(g, worklist=policy, seed=i)
             assert r.measure.values == expected
             assert r.regions == regions
-            raced[policy] += r.stats.subgames > 0
+            assert all(winner == winners for winner in decided)
+            decomposed[policy] += r.stats.subgames > 0
+            assert (r.stats.round_size > 0) == (g is games[-1])
         # a repeated successor is one move, and an attractor counts it once
         repeated = GameGraph(g.owner, g.priority, [s + s[:1] for s in g.succ], d=g.d)
+        decided.clear()
         r = solve(repeated)
         assert r.measure.values == expected
         assert r.regions == regions
-    assert all(raced.values())
+        assert all(winner == winners for winner in decided)
+    assert all(decomposed.values())
 
 
 def whole_game_values(g, full_tree=False):
@@ -499,15 +528,7 @@ def test_rounds_keep_the_measured_fixpoint(monkeypatch):
     # round_robin_values takes tens of seconds on games of this size, so
     # the reference is the worklist over the whole game, which
     # test_worklist_policies_reach_same_fixpoint ties to it on small games
-    decompose = solver._decompose
-    decided = []
-
-    def recorded(*args):
-        out = decompose(*args)
-        decided.append(out[0])
-        return out
-
-    monkeypatch.setattr(solver, "_decompose", recorded)
+    decided = record_decompose(monkeypatch)
     sizes = []
     for i, g in enumerate(seeded_games(30, (100, 400), (4, 8, 16), seed=37)):
         regions = zielonka(g)
@@ -523,8 +544,6 @@ def test_rounds_keep_the_measured_fixpoint(monkeypatch):
             r = solve(g, **options)
             assert r.measure.values == expected[options.get("full_tree", False)]
             assert r.regions == regions
-            # the completion run would mend a vertex wrongly given to the
-            # measured player, so check the decomposition's winners directly
             assert all(winner == winners for winner in decided)
             sizes.append((r.stats.round_size, r.stats.eta))
     # rounds ran, and some game was decided on a tree below its eta size
@@ -570,10 +589,11 @@ def test_completion_rejects_a_lost_vertex_given_to_the_measured_player(monkeypat
         solve(random_game(60, 8, (1, 3), seed=3))
 
 
-def test_many_subgame_races_in_one_solve():
+def test_many_subgames_in_one_solve():
     # 600 disjoint 2-cycles v <-> v ^ 1, about half with a self-loop: the
-    # probe pauses early, and every cycle no attractor decides is raced
-    # as a two-vertex game of its own
+    # probe pauses early, and every cycle no attractor decides is a
+    # two-vertex subgame of its own, decided by the Buchi loop or, when
+    # both its priorities have one parity, in rounds
     rng = random.Random(5)
     owners = [rng.randint(0, 1) for _ in range(1200)]
     priorities = [rng.randint(1, 4) for _ in range(1200)]
@@ -581,31 +601,78 @@ def test_many_subgame_races_in_one_solve():
     g = GameGraph(owners, priorities, succ, d=4)
     regions = zielonka(g)
     for options, counts in (
-        (dict(worklist="fifo"), (2463, 936, 595)),
-        (dict(worklist="lifo"), (2419, 928, 595)),
-        (dict(worklist="random", seed=0), (2423, 920, 595)),
-        (dict(full_tree=True), (2574, 1075, 595)),
+        (dict(worklist="fifo"), (1389, 473, 595)),
+        (dict(worklist="lifo"), (1386, 473, 595)),
+        (dict(worklist="random", seed=0), (1389, 465, 595)),
+        (dict(full_tree=True), (1386, 473, 595)),
     ):
         r = solve(g, **options)
         assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == counts
         assert r.regions == regions
 
 
+def ladder(k):
+    """A Buchi ladder, one strongly connected component.  Odd's x0 loops
+    on priority 1 and may jump to x_k; for i = 1..k, b_i of priority 2
+    moves to x_{i-1}, and Even's x_i of priority 1 moves to b_i or loops.
+    Odd wins everywhere, and removing b_i is what cuts x_i off from
+    Even's attractor of the priority-2 vertices.  Vertex 2i is x_i and
+    vertex 2i - 1 is b_i."""
+    owner = [ODD] + [EVEN] * 2 * k
+    priority = [1] + [2, 1] * k
+    succ = [[0, 2 * k]] + [s for i in range(1, k + 1) for s in ([2 * i - 2], [2 * i - 1, 2 * i])]
+    return GameGraph(owner, priority, succ, d=2)
+
+
+def test_buchi_loop_peels_once_per_top_vertex_and_once_more(monkeypatch):
+    # the loop peels {x_{i-1}, b_i} for i = 1..k and then {x_k}, so it
+    # peels |b| + 1 times, the width of Odd's one-level tree sized by
+    # eta = |b|: that size is tight, and one less trips the bound.
+    # Swapped sizing, by the count of priority 1, cannot fail here or on
+    # any game with two priorities: each nonempty U is a fresh set of
+    # low-priority vertices, so the loop also peels at most that many
+    # times.  A sizing that fails needs trees of more than one level
+    k = SLICE
+    g = ladder(k)
+    assert len(_components(g)) == 1
+    buchi = solver._buchi
+    peels = []
+
+    def recorded(g, live, b, size, *rest):
+        peels.append((b, size, buchi(g, live, b, size, *rest)))
+        return peels[-1][2]
+
+    monkeypatch.setattr(solver, "_buchi", recorded)
+    r = solve(g)
+    assert r.stats.lifts > SLICE  # the probe paused, so the loop ran
+    assert peels == [(2, k, k + 1)]
+    assert r.regions == zielonka(g)
+    assert r.regions.odd == frozenset(range(g.n))
+
+    def undersized(g, live, b, size, *rest):
+        return buchi(g, live, b, size - 1, *rest)
+
+    monkeypatch.setattr(solver, "_buchi", undersized)
+    with pytest.raises(AssertionError, match=f"Buchi loop peeled more than {k} times"):
+        solve(g)
+
+
 def test_decomposition_under_full_tree():
     # criterion 7's games never get past the probe; these do, and their
-    # subgame races size both sides by the subgame's own vertex count
-    raced = 0
+    # rounds size both sides by the subgame's own vertex count
+    decomposed = 0
     for g in seeded_games(6, (100, 300), (4, 8, 12, 16), seed=29):
         full = solve(g, full_tree=True)
         assert full.regions == solve(g).regions == zielonka(g)
-        raced += full.stats.subgames > 0
-    assert raced
+        decomposed += full.stats.subgames > 0
+    assert decomposed
 
 
 def test_single_vertex_subgame_decided_by_its_self_loop():
     # a chain of self-loops, each its own component; v's other successor,
     # v - 1, is won by v's owner's opponent, so no attractor takes v, and
-    # past the probe each vertex is decided by its self-loop, with no race
+    # past the probe the Buchi loop gives each vertex to the player of its
+    # priority, by its self-loop
     n = 3 * SLICE
     succ = [[0]] + [[v, v - 1] for v in range(1, n)]
     owner = [(v + 1) % 2 for v in range(n)]  # the loser of v - 1 owns v
