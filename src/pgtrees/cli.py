@@ -12,7 +12,7 @@ import time
 
 from .game import parse_pgsolver, random_game, serialize_pgsolver
 from .solver import format_regions, solve, zielonka
-from .trees import OrderedTree, embeds, enumerate_trees, universal_tree
+from .trees import OrderedTree, _search, universal_tree
 from .widths import width_report
 
 VERIFY_N_GUARD = 6
@@ -72,13 +72,10 @@ def _cmd_verify_universal(args) -> int:
             raise ValueError(f"--tree has height {tree.height}, expected {h}")
     else:
         tree = universal_tree(n, h)
-    checked = 0
-    decided: dict = {}  # one embeds memo for the whole check, as in find_counterexample
-    for candidate in enumerate_trees(h, n):
-        if not embeds(candidate, tree, decided):
-            print(f"NOT UNIVERSAL: counterexample {candidate.to_text()}")
-            return 3
-        checked += 1
+    counterexample, checked = _search(tree, n)
+    if counterexample is not None:
+        print(f"NOT UNIVERSAL: counterexample {counterexample.to_text()}")
+        return 3
     print(f"UNIVERSAL (width={tree.width}, trees checked={checked})")
     return 0
 

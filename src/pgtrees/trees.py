@@ -8,8 +8,10 @@ number of leaves.  Leaves are addressed by root-to-leaf child-index paths
 tree of height h and width at most n embeds; its width is exactly
 `widths.width_recursive(n, h)`.  Its shape is one split rule,
 `subtree_sizes`, which the solver's leaf ranks follow as well.
-`enumerate_trees` builds its candidates height by height too, and
-`embeds` matches children greedily, leftmost first; neither recurses.
+`enumerate_trees` builds its candidates height by height too, without the
+checking constructor: a node's children come from the list one height
+below, and its width is its row's running width.  `embeds` matches
+children greedily, leftmost first; neither recurses.
 Its memo holds, per pair of subtrees, whether one embeds in the other,
 and per child of a candidate, that child's greedy steps over the
 target's root children, so a check places each candidate's root
@@ -148,30 +150,39 @@ def enumerate_trees(h: int, max_width: int) -> Iterator[OrderedTree]:
     if h < 0:
         raise ValueError("h must be nonnegative")
     level = [OrderedTree()] if max_width > 0 else []
-    for _ in range(h - 1):
-        level = list(map(OrderedTree, _rows(level, max_width)))
-    return map(OrderedTree, _rows(level, max_width)) if h else iter(level)
+    for height in range(1, h):
+        level = list(_rows(level, max_width, height))
+    return _rows(level, max_width, h) if h else iter(level)
 
 
-def _rows(trees: list, budget: int) -> Iterator[tuple]:
-    # tuples of trees with total width <= budget, fewer entries first, then
-    # lexicographic; a stack holds one iterator per open position
+def _node(children: tuple, height: int, width: int) -> OrderedTree:
+    # children of one height, whose widths sum to width: no checks needed
+    node = OrderedTree.__new__(OrderedTree)
+    node.children, node.height, node.width = children, height, width
+    return node
+
+
+def _rows(trees: list, budget: int, height: int) -> Iterator[OrderedTree]:
+    # trees of the given height whose children, from trees, have total width
+    # <= budget, fewer children first, then lexicographic; a stack holds one
+    # iterator per open position, and the last position loops in place
     fitting = [[t for t in trees if t.width <= spare + 1] for spare in range(budget)]
     for k in range(1, budget + 1):
         row: list = []
-        spare = budget - k  # width free beyond one leaf per entry
+        spare = budget - k  # width free beyond one leaf per child
         stack = [iter(fitting[spare])]
         while stack:
-            t = next(stack[-1], None)
-            if t is None:
-                stack.pop()
-                spare += row.pop().width - 1 if row else 0
-            elif len(row) == k - 1:
-                yield (*row, t)
-            else:
+            if len(row) == k - 1:  # once the last child counts, width = budget - spare
+                head, rest = tuple(row), budget - spare - 1
+                for t in stack[-1]:
+                    yield _node(head + (t,), height, rest + t.width)
+            elif (t := next(stack[-1], None)) is not None:
                 row.append(t)
                 spare -= t.width - 1
                 stack.append(iter(fitting[spare]))
+                continue
+            stack.pop()
+            spare += row.pop().width - 1 if row else 0
 
 
 # the row of a target subtree with nothing decided yet; never written to
@@ -195,10 +206,11 @@ def embeds(t1: OrderedTree, t2: OrderedTree, decided: dict | None = None) -> boo
     that share t2 and build t1 from shared subtrees, as the candidates of
     one check do, then place t1's children with one lookup each.  Below
     the root each pair is decided once per memo anyway, and steps there
-    would about double the memo of a deep check.  One dict passed to many calls decides each pair of subtrees and each step
-    once across them all; it holds its trees alive, so share it only
-    among calls whose trees share subtrees.  The root pair (t1, t2) is
-    never stored, so t1 can be freed after the call.
+    would about double the memo of a deep check.  One dict passed to
+    many calls decides each pair of subtrees and each step once across
+    them all.  It holds its trees alive, so share it only among calls
+    whose trees share subtrees.  The root pair (t1, t2) is never stored,
+    so t1 can be freed after the call.
     """
     if t1.height != t2.height:
         raise ValueError(f"height mismatch: {t1.height} vs {t2.height}")
@@ -273,11 +285,17 @@ def find_counterexample(t: OrderedTree, n: int) -> OrderedTree | None:
     root child over t's root children, is decided once, not once per
     candidate.
     """
+    return _search(t, n)[0]
+
+
+def _search(t: OrderedTree, n: int) -> tuple[OrderedTree | None, int]:
+    # (first counterexample or None, candidates checked), one embeds call each
     decided: dict = {}
-    for s in enumerate_trees(t.height, n):
+    checked = 0  # n = 0 has no candidates
+    for checked, s in enumerate(enumerate_trees(t.height, n), 1):
         if not embeds(s, t, decided):
-            return s
-    return None
+            return s, checked
+    return None, checked
 
 
 def verify_universal(t: OrderedTree, n: int) -> bool:

@@ -103,9 +103,13 @@ def bound_exponential(n: int, h: int) -> float:
         raise ValueError("exponential bound requires n >= 2")
     if h < 1:
         raise ValueError("bound requires h >= 1")
-    exponent = _EXPONENT_BASE + math.log2(1.0 + (h - 1) / math.log2(n))
+    return _exponential(n, math.log2(n), h)
+
+
+def _exponential(x: int | float, lg: float, h: int) -> float:
+    # the bound for lg = log2(x); an int x too large for a float gives inf
     try:
-        return float(n) ** exponent
+        return x ** (_EXPONENT_BASE + math.log2(1.0 + (h - 1) / lg))
     except OverflowError:
         return math.inf
 
@@ -129,9 +133,6 @@ class WidthTable:
 
     def __init__(self):
         self.rows: dict[tuple[int, int], WidthRow] = {}
-
-    def add(self, row: WidthRow) -> None:
-        self.rows[(row.n, row.h)] = row
 
     def __iter__(self):
         return iter(self.rows.values())
@@ -164,20 +165,21 @@ def width_report(n_values: Sequence[int], h_values: Sequence[int]) -> WidthTable
     if min(n_values) < 1 or min(h_values) < 1:
         raise ValueError("closed form requires n >= 1 and h >= 1")
     top = ceil_log2(max(n_values))
-    columns = {h: _column(h, top) for h in h_values}
+    columns = [(h, *_column(h, top)) for h in h_values]
     table = WidthTable()
     for n in n_values:
         lg, clg = floor_log2(n), ceil_log2(n)
         # n // 2 has floor log lg - 1; its width is 0 when n = 1
         lead, half_lead = n - (1 << lg) + 1, n // 2 - (1 << lg >> 1) + 1
-        for h in h_values:
-            comb, sums = columns[h]
+        # below 2^1023 n fits a float; larger ints are converted in the guard
+        x, log_n = float(n) if n.bit_length() < 1024 else n, math.log2(n)
+        for h, comb, sums in columns:
             w = sums[lg] + lead * comb[lg]
             bb = n * comb[lg]
             bo = (1 << clg) * comb[clg]
             if not w <= bb <= bo:
                 raise AssertionError(f"bound ordering violated at ({n}, {h})")
-            be = bound_exponential(n, h) if n >= 2 else math.nan
+            be = _exponential(x, log_n, h) if n >= 2 else math.nan
             half = sums[lg - 1] + half_lead * comb[lg - 1] if lg else 0
-            table.add(WidthRow(n, h, w, bb, bo, be, bo / w, w / half if half else math.inf))
+            table.rows[n, h] = WidthRow(n, h, w, bb, bo, be, bo / w, w / half if half else math.inf)
     return table

@@ -148,6 +148,21 @@ def test_enumerate_respects_budget():
         enumerate_trees(-1, 3)
 
 
+def test_enumerated_nodes_carry_the_height_and_width_of_their_shape():
+    # enumeration sets each node's height and width itself, from the level
+    # and the row's running width, instead of through the checking constructor
+    for h in range(5):
+        for n in range(8):
+            stack, seen = list(enumerate_trees(h, n)), set()
+            while stack:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    shape = OrderedTree.from_text(node.to_text())
+                    assert (node.height, node.width) == (shape.height, shape.width), (h, n, node)
+                    stack.extend(node.children)
+
+
 def test_enumerate_deep_trees():
     # heights far beyond the interpreter's recursion limit: one path and
     # one tree per level at which a second leaf branches off

@@ -144,6 +144,16 @@ def test_bound_exponential_values():
         bound_exponential(1, 3)
 
 
+def test_bound_exponential_overflows_to_inf():
+    # n beyond the float range gives inf, in the bound and in the report; so
+    # do both sides of 2^1024, whether or not n itself converts to a float
+    assert bound_exponential(2**1100, 2) == math.inf
+    assert width_report([2**1100], [2])[2**1100, 2].bound_exponential == math.inf
+    for n in (2**1023, 2**1024 - 1, 2**1024):
+        for h in (1, 2):
+            assert width_report([n], [h])[n, h].bound_exponential == bound_exponential(n, h)
+
+
 def test_width_monotone_in_each_argument():
     for n in range(1, 40):
         for h in range(1, 7):
