@@ -16,8 +16,8 @@ import random
 import re
 import sys
 from itertools import islice, repeat
-from operator import add, mod
-from typing import Iterable, NamedTuple, Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 EVEN = 0
 ODD = 1
@@ -36,11 +36,6 @@ class ParseError(GameError):
         super().__init__(message)
         self.line = line
         self.col = col
-
-
-class PriorityCounts(NamedTuple):
-    odd: int
-    even: int
 
 
 class GameGraph:
@@ -98,11 +93,6 @@ class GameGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(s) for s in self.succ)
-
-    def priority_counts(self) -> PriorityCounts:
-        """Counts of odd- and even-priority vertices; their minimum is <= n // 2."""
-        odd = sum(map(mod, self.priority, repeat(2)))  # counted in C, no bytecode per vertex
-        return PriorityCounts(odd, self.n - odd)
 
     def __repr__(self) -> str:
         return f"<GameGraph n={self.n} m={self.edge_count} d={self.d}>"

@@ -1,103 +1,22 @@
 """Parity game solvers: tree lifting plus two independent references.
 
-`solve` labels every vertex with a leaf of a working ordered tree or the
-sentinel TOP above all leaves.  The working tree is the compact
+`solve` lifts a progress measure for the measured player over the padded
 universal tree sized by eta = min(#odd-priority, #even-priority)
-vertices (<= n // 2), padded with a leftmost "stop"
-branch, a single path down to one leaf, below every internal node.
-Padding keeps the tree universal for the same width while giving every
-ancestor prefix its own least leaf, which is what lets unconstrained
-vertices rest low instead of being dragged upward; without it the
-eta-sized tree is too small in games where both players win somewhere.
+vertices, at most n // 2 (`LeafRanks`, `Measure`).  That player is Even
+unless odd-priority vertices outnumber even-priority ones, and it wins
+exactly the vertices whose value ends below TOP.  A vertex it loses
+climbs all the way to TOP, so a solve takes three steps:
 
-The padded tree is fully determined by its size and height, so it is
-never built.  A leaf is its rank 0..W-1 in leaf order and TOP is W, the
-tree's width (`LeafRanks`).  Leaf order is lexicographic path order, so
-every subtree owns a contiguous block of ranks, and "the length-k path
-prefix of a is >= (or >) that of b" reads "a >= the first rank (or the
-end) of b's depth-k block".  A non-blank node of size m has m + 1
-children: the stop branch, one leaf wide, then padded subtrees of the
-sizes `trees.subtree_sizes(m)`, the universal tree's own split rule.
-Per-height tables of child offsets locate a rank's block with one
-bisection per level.  Every leaf lies at full depth, so a block of that
-depth is a single leaf and needs no bisection: on a one-level tree every
-lookup is trivial.  Each cached tree memoizes these lookups for every
-run over it (`LeafRanks`), so most value changes refresh their target
-with one dict lookup.
-
-One side is the measured player: Even when odd-priority vertices are no
-more numerous than even-priority ones, Odd otherwise.  A vertex label
-must dominate its successors' labels on the leaf-path prefix determined
-by each edge's priority, strictly so at priorities of the opponent's
-parity.  An edge carries the priority of the vertex it *enters* (the
-standard reduction from vertex priorities to edge priorities redirects
-every edge into a copy of its target, so the target's priority is the
-one seen when the edge is traversed).  Keying the comparison by the
-entered vertex is essential for the eta bound: every strict update over
-a vertex w computes the same "least leaf strictly above mu(w) at w's
-prefix length", so at most one fresh branch circulates per
-opponent-parity vertex.  It also means that the cheapest value any edge
-into w admits depends on w alone, so the measure keeps it per vertex
-(`Measure.target`) and recomputes it only when w's value changes.
-
-Prefix lengths are anchored at the opponent-parity priorities actually
-present in the game: an absent priority would add a comparison level
-that nothing ever resets, skewing the labelling.  The tree's height is
-the number of these live levels, at least 1; it is d/2 when every
-opponent-parity priority occurs.
-
-Labels start at the least leaf and only ever increase toward TOP, so
-iterating the local repair `lift` to a fixpoint yields the least
-solution; the measured player wins exactly the vertices that end below
-TOP.  A lift at v reads only v's successors, so the worklist takes the
-strongly connected components sinks first (`_components`) and lifts
-each to its fixpoint before the next: a component starts only once
-every component it can reach is final, and none of its vertices is
-lifted while those still climb.  Inside a component the default policy
-is LIFO over the component listed in reverse DFS finishing order, so
-the first vertex lifted is the first whose search finished, and a
-vertex tends to be lifted after the vertices it reaches.  Lifting is a
-chaotic iteration of a monotone operator, so neither the component
-order nor the policy changes the fixpoint, only the lift counts; FIFO
-and a seeded random order remain for testing.  When v's value changes,
-only the predecessors u with v's new target above u's value are queued.
-That skips no lift that could change a value: a vertex off the queue is
-consistent, and stays so while v's new target is at most its value.  An
-opponent vertex needs every successor's target at most its value, and
-only v's has moved; a measured vertex needs one, and v's new target
-still serves if v's old one did.
-
-Which measure is cheap depends on the game more than on eta: vertices
-the measured player loses climb all the way to TOP, while those it wins
-stay low.  So the measured run first probes the game for SLICE lifts; a
-game it finishes within them is done.  Otherwise the components before
-the one it paused in are final, and the others are decided one at a
-time, sinks first, as in Oink (van Dijk, TACAS 2018): both players'
-attractors of everything decided are removed, and what stays undecided
-of a component is a closed subgame (`_decompose`).
-
-A subgame with at most one priority of each parity is decided by the
-Buchi loop, the universal attractor decomposition of Jurdzinski and
-Morvan (2020) over a one-level tree (`_buchi`).  Let b be its top
-priority, t the player of b's parity and o the other.  While t's
-attractor of the live b-vertices leaves a rest U, o wins its attractor
-of U, which is removed; then t wins what is left.  A peel that takes no
-b-vertex leaves t's attractor whole, so the next pass ends the loop: it
-peels at most |b| + 1 times, the width of o's one-level tree sized by
-its count of t's parity, |b|.  It lifts nothing.  Any other subgame is
-decided in rounds over trees of size 1, 2, 4, ...: a measure into any
-ordered tree is sound, each player's tree at its own size is complete,
-and most games need far less (the bounded dominions of Jurdzinski,
-Paterson and Zwick, SODA 2006, and Schewe, FSTTCS 2007).
-
-Once all is decided, the vertices the measured player loses go to TOP,
-their value in the least fixpoint, and its measure lifts once more from
-the probe's values, which lie below that fixpoint too; so it reaches the
-same least fixpoint, lifting only the measured player's winning region.
+1. a probe lifts the measure for at most SLICE lifts (`_worklist`); a
+   game it finishes is done;
+2. otherwise the components it finished are final, and the others are
+   decided one at a time (`_decompose`);
+3. the vertices the measured player loses go to TOP, their value in the
+   least fixpoint, and one completion run lifts the probe's values, which
+   lie below that fixpoint too, up to it.
 
 `zielonka` (recursive attractor decomposition) and `brute_force_solve`
-(positional strategy enumeration) are independent oracles used to
-cross-validate `solve`.
+(positional strategy enumeration) are independent oracles for `solve`.
 """
 
 from __future__ import annotations
@@ -108,6 +27,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mod
 
 from .game import EVEN, ODD, GameError, GameGraph
 from .trees import subtree_sizes
@@ -149,7 +69,9 @@ class SolveResult:
 
 def live_levels(g: GameGraph, player: int) -> list[int]:
     """Distinct opponent-parity priorities present in g, ascending: the
-    live levels of player's measure (module docstring)."""
+    live levels of player's measure, one tree level each.  An absent
+    priority would add a comparison level that nothing ever resets,
+    skewing the labelling; with every one present there are d/2."""
     opp_parity = 1 if player == EVEN else 0
     return sorted({p for p in g.priority if p % 2 == opp_parity})
 
@@ -157,20 +79,28 @@ def live_levels(g: GameGraph, player: int) -> list[int]:
 class LeafRanks:
     """Leaf ranks of the padded universal tree of this size and height.
 
-    The padded tree is ``universal_tree(size, height)`` with a stop
-    branch inserted as the leftmost child of every internal node.
-    Leaves are numbered 0..width-1 in leaf order, and ``width`` doubles
-    as TOP.  A node is known by its size m: m >= 1 for a padded universal
-    subtree, 0 for a stop branch, which is a single path to one leaf.
-    ``_levels[t][m]`` holds, for a size-m node of height t >= 1, the
-    start offsets of its children followed by its width, and its
-    children's sizes.  The tables are built bottom-up over the heights.
+    The padded tree is ``universal_tree(size, height)`` with a "stop"
+    branch, a single path to one leaf, as the leftmost child of every
+    internal node.  The padding keeps the tree universal for its width
+    while giving every ancestor prefix its own least leaf, so that
+    unconstrained vertices rest low; without it the eta tree is too small
+    in games where both players win somewhere.
 
-    The tree never changes, so ``memo[k][strict]`` maps a rank r to
-    ``successor(r, k, strict)`` for every run over the tree, filled on
-    demand by `Measure.set`.  It holds at most MEMO_CAP entries in all,
-    counted by ``entries``, so the 256 trees `leaf_ranks` caches hold at
-    most 256 * MEMO_CAP entries however many games a process solves.
+    The tree is never built.  Leaves are numbered 0..width-1 in leaf
+    order, lexicographic path order, and ``width`` doubles as TOP.  So
+    every subtree owns a contiguous block of ranks, and "the length-k path
+    prefix of a is >= (or >) that of b" reads "a >= the first rank (or the
+    end) of b's depth-k block".  A node is known by its size m: 0 for a
+    stop branch, m >= 1 for a padded universal subtree, whose children are
+    a stop branch and subtrees of the sizes `trees.subtree_sizes(m)`.
+    ``_levels[t][m]`` holds, for a size-m node of height t >= 1, its
+    children's start offsets followed by its width, and their sizes, so a
+    rank's block takes one bisection per level.
+
+    ``memo[k][strict]`` maps a rank r to ``successor(r, k, strict)`` for
+    every run over the tree, filled by `Measure.set`, with at most
+    MEMO_CAP entries in all (``entries``): the 256 trees `leaf_ranks`
+    caches hold at most 256 * MEMO_CAP however many games are solved.
     """
 
     __slots__ = ("size", "height", "width", "_levels", "memo", "entries")
@@ -237,14 +167,17 @@ def leaf_ranks(size: int, height: int) -> LeafRanks:
 class Measure:
     """Per-vertex leaf ranks plus the fixed context of one lifting run.
 
-    ``ranks`` is the padded universal tree of the given size whose height
-    is the number of live levels, at least 1, so that even a game with no
-    live level gets a tree whose width grows with its size.
-    ``values[v]`` is a leaf rank of ``ranks`` or ``top`` (its width),
-    starting at the least leaf 0.  ``k[w]`` and ``strict[w]`` describe
-    the comparison an edge *into* w imposes, and ``target[w]`` caches the
-    least value such an edge admits; `set` keeps it in step with
-    ``values[w]``.
+    ``ranks`` has one level per live level, at least one, so that even a
+    game with none gets a tree whose width grows with its size.
+    ``values[v]`` is a leaf rank or ``top`` (the width), starting at the
+    least leaf 0.  A value must dominate each successor w's on the prefix
+    of length ``k[w]`` set by w's priority, strictly (``strict[w]``) at
+    the opponent's parity.  Keying each edge by the vertex it enters, as
+    the standard reduction to edge priorities does, gives the eta bound:
+    every strict update over w computes the same least leaf strictly above
+    mu(w) at w's prefix length, so at most one fresh branch circulates per
+    opponent-parity vertex.  It also makes the least value an edge into w
+    admits depend on w alone: ``target[w]``, which `set` keeps in step.
     """
 
     __slots__ = ("values", "target", "rows", "player", "ranks", "top", "k", "strict")
@@ -297,15 +230,10 @@ class Measure:
 
 
 def edge_consistent(g: GameGraph, mu: Measure, v: int, w: int) -> bool:
-    """Does the edge (v, w) satisfy the local progress condition?
-
-    True when mu(v) is TOP; otherwise mu(w) must not be TOP and the
-    length-k prefix of mu(v) must be >= that of mu(w), strictly when the
-    edge enters a vertex of the opponent's parity; k is the prefix length
-    of the entered vertex's priority.  In ranks that is mu(v) >= the
-    least value the edge admits, recomputed here rather than read from
-    the cache so that this check stays independent of `lift`.
-    """
+    """Does the edge (v, w) satisfy the local progress condition
+    (`Measure`)?  In ranks that is mu(v) >= the least value the edge
+    admits, recomputed here rather than read from the cache so that this
+    check stays independent of `lift`."""
     return mu.values[v] >= mu.fresh_target(w)
 
 
@@ -391,14 +319,27 @@ def _components(g: GameGraph) -> list[list[int]]:
     return components
 
 
-def _worklist(g: GameGraph, mu: Measure, components: list, policy: str, seed: int, counts: list):
-    """Lift mu to its least fixpoint above its current values.
+def _worklist(
+    g: GameGraph, mu: Measure, components: list, policy: str, seed: int, counts: list,
+    limit: int | None = None,
+) -> int | None:
+    """Lift mu to its least fixpoint above its current values and return
+    None; or stop once ``limit`` lifts are made and return the index of
+    the component holding the next vertex it would lift.
 
-    A generator that pauses (yields) its component's index before the
-    lift after every SLICE lifts and ends at the fixpoint; it keeps its
-    queue and component cursor in between.  ``counts`` is ``[lifts,
-    changes]`` and gains this run's share at every pause and at the end,
-    so runs may share one.
+    `lift` never lowers a value, so every order reaches that fixpoint;
+    the order sets only the lift count.  A lift reads only successors, so
+    each of ``components``, sinks first, is lifted to its fixpoint before
+    the next.  A component starts as the queue, and LIFO lifts its
+    first-finished vertex first, so a vertex tends to follow those it
+    reaches; FIFO and a ``seed``-ed random order remain for testing.  A
+    change at v queues only the predecessors u that v's new target
+    exceeds.  A vertex off the queue is consistent, and such a u stays
+    so.  An opponent vertex needs every target at most its value, and
+    only v's moved.  A measured vertex needs one, and v's new target
+    serves if its old one did.
+
+    ``counts`` is ``[lifts, changes]`` and gains this run's share.
     """
     preds = g.preds
     values, target, rows = mu.values, mu.target, mu.rows
@@ -435,11 +376,10 @@ def _worklist(g: GameGraph, mu: Measure, components: list, policy: str, seed: in
             old = values[v]
             if old == top:
                 continue  # nothing lies above TOP, so its lift would be a no-op
-            if lifts == SLICE:
+            if lifts == limit:
                 counts[0] += lifts
                 counts[1] += changes
-                lifts = changes = 0
-                yield i
+                return i
             lifts += 1
             new = lift(g, mu, v)
             if new != old:
@@ -452,8 +392,6 @@ def _worklist(g: GameGraph, mu: Measure, components: list, policy: str, seed: in
                     values[v] = new
                     target[v] = cached
                 changes += 1
-                # a vertex off the queue is consistent, and stays so while
-                # v's new target does not exceed its value
                 t = target[v]
                 for u in preds[v]:
                     if not queued[u] and t > values[u]:
@@ -461,6 +399,7 @@ def _worklist(g: GameGraph, mu: Measure, components: list, policy: str, seed: in
                         push(u)
     counts[0] += lifts
     counts[1] += changes
+    return None
 
 
 def _sides(g: GameGraph, full_tree: bool) -> tuple[list[tuple[int, int]], int]:
@@ -468,11 +407,11 @@ def _sides(g: GameGraph, full_tree: bool) -> tuple[list[tuple[int, int]], int]:
     eta.  A tree is sized by the count of its player's opponent's parity,
     at least 1, or by n under ``full_tree``; the measured player has the
     smaller count, eta, and ties go to Even."""
-    counts = g.priority_counts()
-    sides = [(EVEN, counts.odd), (ODD, counts.even)]
-    if counts.odd > counts.even:
+    odd = sum(map(mod, g.priority, itertools.repeat(2)))  # counted in C, no bytecode per vertex
+    sides = [(EVEN, odd), (ODD, g.n - odd)]
+    if odd > g.n - odd:
         sides.reverse()
-    return [(p, g.n if full_tree else max(size, 1)) for p, size in sides], min(counts)
+    return [(p, g.n if full_tree else max(size, 1)) for p, size in sides], sides[0][1]
 
 
 def _attractor(g: GameGraph, target: list, player: int, live: set, left) -> list:
@@ -493,13 +432,19 @@ def _attractor(g: GameGraph, target: list, player: int, live: set, left) -> list
 
 
 def _buchi(g: GameGraph, live: list, b: int, size: int, counts, winner: list, attract) -> int:
-    """Decide ``live`` by the Buchi loop (module docstring); return its peels.
+    """Decide ``live`` by the Buchi loop; return its peels.
 
     ``live`` is the undecided part of a subgame with priority b on top and
-    at most one other.  ``counts[u]`` counts u's successors not won by t,
-    b's player, which for an undecided vertex of o are its live ones: o's
-    attractor would hold one with a successor won by o.  More than size +
-    1 peels raise AssertionError; o's size |b| rules that out.
+    at most one other.  The loop is the universal attractor decomposition
+    of Jurdzinski and Morvan (2020) over a one-level tree.  With t b's
+    player and o the other, while t's attractor of the live b-vertices
+    leaves a rest U, o wins its attractor of U, which is removed; then t
+    wins what is left.  A peel that takes no b-vertex leaves t's attractor
+    whole, so the loop peels at most |b| + 1 times, the width of o's
+    one-level tree, ``size`` = |b|; more raise AssertionError.
+    ``counts[u]`` counts u's successors not won by t, which for an
+    undecided vertex of o are its live ones: o's attractor would hold one
+    with a successor won by o.
     """
     priority = g.priority
     t = b % 2  # EVEN is 0
@@ -521,28 +466,30 @@ def _buchi(g: GameGraph, live: list, b: int, size: int, counts, winner: list, at
 
 
 def _decompose(
-    g: GameGraph, mu: Measure, components: list, start: int, full_tree: bool,
+    g: GameGraph, components: list, winner: list, full_tree: bool,
     policy: str, seed: int, tally: list,
 ) -> tuple[list, int, int]:
-    """Winner of every vertex, one component at a time from ``start`` on.
+    """Decide the vertices ``winner`` leaves at -1, one component of
+    ``components`` at a time, sinks first, as in Oink (van Dijk, TACAS
+    2018); return the winners, the subgame count and the largest tree
+    size a round used, 0 if none ran.
 
-    ``components[:start]`` are final in mu, and ``unwon[p][u]`` counts
-    u's distinct successors that p has not won.  Every undecided vertex
-    of a subgame keeps a successor inside, or an attractor would have
-    taken it.  A subgame that is not `_buchi`'s is built as a game of its
-    own with only the edges between its vertices: a dropped edge enters a
-    vertex won by the opponent of its source's owner, so it never decides
-    a lift.  In round s each side, the measured player first, lifts a
-    fresh measure over the tree of size min(s, its own size) and wins
-    what stays below TOP; at its own size it loses the rest too.  Both
-    players' attractors of what the round decided are then removed, which
-    leaves a subgame with the same winners for the next round.
-
-    Returns the winners, the subgame count and the largest tree size a
-    round used, 0 when none ran.
+    Both players' attractors of all that is decided are removed, so what
+    stays undecided of a component is a subgame in which every vertex
+    keeps a successor.  ``unwon[p][u]`` counts u's distinct successors
+    that p has not won.  A subgame with at most one priority of each
+    parity goes to `_buchi`.  Any other is built as a game of its own
+    with only its inner edges (a dropped edge enters a vertex won by the
+    opponent of its source's owner, so it never decides a lift) and
+    decided in rounds s = 1, 2, 4, ...: each side, the subgame's measured
+    player first, lifts a fresh measure over the tree of size min(s, its
+    own size) and wins what stays below TOP, and at its own size loses
+    the rest.  A measure into any ordered tree is sound, one into the
+    own-size tree is complete, and most games need far less (the bounded
+    dominions of Jurdzinski, Paterson and Zwick, SODA 2006, and Schewe,
+    FSTTCS 2007).
     """
     owner, succ, priority = g.owner, g.succ, g.priority
-    winner = [-1] * g.n
     undecided = set(range(g.n))
     distinct = [len(set(s)) for s in succ]
     unwon = [distinct, distinct.copy()]  # indexed by player, EVEN = 0
@@ -555,13 +502,9 @@ def _decompose(
             for u in _attractor(g, [v for v in decided if winner[v] == p], p, undecided, unwon[p]):
                 winner[u] = p
 
-    for i, component in enumerate(components):
+    attract([v for v in range(g.n) if winner[v] >= 0])
+    for component in components:
         sub = [v for v in component if winner[v] < 0]
-        if i < start:
-            for v in sub:
-                winner[v] = mu.player if mu.values[v] != mu.top else 1 - mu.player
-            attract(sub)
-            continue
         subgames += len(sub) > 1
         s = 1
         while sub:
@@ -576,8 +519,7 @@ def _decompose(
             h = GameGraph([owner[v] for v in sub], [priority[v] for v in sub], inner, d=g.d)
             for p, size in _sides(h, full_tree)[0]:
                 m = Measure(h, p, min(s, size))
-                for _ in _worklist(h, m, [range(h.n)], policy, seed, tally):
-                    pass  # h is lifted as one component
+                _worklist(h, m, [range(h.n)], policy, seed, tally)  # h as one component
                 largest = max(largest, m.ranks.size)
                 for v, value in zip(sub, m.values):
                     if value != m.top:
@@ -601,31 +543,32 @@ def solve(
 ) -> SolveResult:
     """Winning regions by lifting over the compact universal tree.
 
-    The measured player's tree is sized by eta (module docstring), or by
-    n under ``full_tree=True``, to cross-check that the smaller tree loses
+    The measured player's tree is sized by eta, or by n under
+    ``full_tree=True``, to cross-check that the smaller tree loses
     nothing.  ``worklist`` picks the scheduling policy inside each
-    strongly connected component, LIFO by default; the result is the same
+    strongly connected component (`_worklist`); the result is the same
     for all of them, only the lift counts differ.  ``measure``, ``player``
-    and ``tree_width`` are always the measured player's least fixpoint
-    over its tree, even when the game is decomposed past the probe;
-    ``stats.round_size`` is the largest tree size a round used, and the
-    lift and change counts add up every run.
+    and ``tree_width`` are the measured player's least fixpoint over its
+    tree (module docstring), and the lift and change counts add up every
+    run.
     """
     [(player, size), _], eta = _sides(g, full_tree)
     mu = Measure(g, player, size)
     components = _components(g)
     tally = [0, 0]
-    start = next(_worklist(g, mu, components, worklist, seed, tally), None)
+    start = _worklist(g, mu, components, worklist, seed, tally, SLICE)
     subgames = round_size = 0
     if start is not None:
+        winner = [-1] * g.n
+        for v in itertools.chain(*components[:start]):  # final in mu
+            winner[v] = player if mu.values[v] != mu.top else 1 - player
         winner, subgames, round_size = _decompose(
-            g, mu, components, start, full_tree, worklist, seed, tally
+            g, components[start:], winner, full_tree, worklist, seed, tally
         )
         for v, w in enumerate(winner):
             if w != player:
                 mu.set(v, mu.top)
-        for _ in _worklist(g, mu, components[start:], worklist, seed, tally):
-            pass
+        _worklist(g, mu, components[start:], worklist, seed, tally)
         # the completion would silently repair a vertex wrongly given to
         # the measured player, at the cost of its climb to TOP
         if any(w == player and mu.values[v] == mu.top for v, w in enumerate(winner)):
@@ -660,14 +603,16 @@ def vertex_consistent(g: GameGraph, mu: Measure, v: int) -> bool:
 # reference solvers
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> list[int]:
     # set-bit positions, lowest first, from one pass over the binary
     # digits, so a mask of n bits takes O(n) time
     s = bin(mask)[:1:-1]
+    bits = []
     i = s.find("1")
     while i >= 0:
-        yield i
+        bits.append(i)
         i = s.find("1", i + 1)
+    return bits
 
 
 def zielonka(g: GameGraph) -> WinningRegions:

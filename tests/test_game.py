@@ -350,21 +350,6 @@ def test_random_game_priority_histogram_roughly_uniform():
     assert chi2 < 30.0
 
 
-def test_priority_counts():
-    g = GameGraph([0, 0, 1, 1, 0], [1, 2, 2, 4, 3], [[0]] * 5, d=4)
-    counts = g.priority_counts()
-    assert counts.odd == 2
-    assert counts.even == 3
-
-    g_even = GameGraph([0, 1], [2, 4], [[1], [0]], d=4)
-    assert g_even.priority_counts().odd == 0
-
-    # bound is tight for a half-odd half-even game
-    g_half = GameGraph([0] * 6, [1, 1, 1, 2, 2, 2], [[0]] * 6, d=2)
-    c = g_half.priority_counts()
-    assert min(c.odd, c.even) == 3 == g_half.n // 2
-
-
 def test_constructor_rejects_bad_games():
     with pytest.raises(GameError, match="no successors"):
         GameGraph([0], [2], [[]], d=2)

@@ -319,8 +319,8 @@ def test_lift_self_loop_examples():
 def test_lift_never_decreases_on_random_states():
     rng = random.Random(23)
     for g in seeded_games(150, (1, 8), (2, 4, 6), seed=8):
-        counts = g.priority_counts()
-        player = EVEN if counts.odd <= counts.even else ODD
+        odd = sum(p % 2 for p in g.priority)
+        player = EVEN if odd <= g.n - odd else ODD
         ranks = solve(g).measure.ranks
         mu = Measure(g, player, ranks.size)
         for v in range(g.n):
@@ -433,9 +433,9 @@ def test_small_tree_equals_full_tree():
 def fresh_measure(g, full_tree=False):
     """The measured player's measure at the least leaf, over the tree sized
     by eta, or by n under ``full_tree``."""
-    counts = g.priority_counts()
-    player = EVEN if counts.odd <= counts.even else ODD
-    return Measure(g, player, g.n if full_tree else max(min(counts.odd, counts.even), 1))
+    odd = sum(p % 2 for p in g.priority)
+    player = EVEN if odd <= g.n - odd else ODD
+    return Measure(g, player, g.n if full_tree else max(min(odd, g.n - odd), 1))
 
 
 def round_robin_values(g):
@@ -517,9 +517,51 @@ def whole_game_values(g, full_tree=False):
     """The measured player's least fixpoint, lifted over the whole game as
     one component: no probe, no decomposition, no completion run."""
     mu = fresh_measure(g, full_tree)
-    for _ in _worklist(g, mu, [range(g.n)], "fifo", 0, [0, 0]):
-        pass
+    assert _worklist(g, mu, [range(g.n)], "fifo", 0, [0, 0]) is None
     return mu.values
+
+
+def test_worklist_limit_stops_before_the_next_lift(monkeypatch):
+    # a run limited to k lifts makes the first k lifts of the unlimited
+    # run and returns the component of the (k + 1)-th; a run over the
+    # components from there on reaches the unlimited run's fixpoint
+    lifted = []
+
+    def recording(g, mu, v):
+        lifted.append(v)
+        return lift(g, mu, v)
+
+    monkeypatch.setattr(solver, "lift", recording)
+    checked = 0
+    for i, g in enumerate(seeded_games(40, (10, 60), (2, 4, 6, 8), seed=71)):
+        components = _components(g)
+        policy = WORKLIST_POLICIES[i % 3]
+        lifted.clear()
+        mu, counts = fresh_measure(g), [0, 0]
+        assert _worklist(g, mu, components, policy, i, counts) is None
+        assert counts[0] == len(lifted)
+        full, expected = list(lifted), mu.values
+        for k in sorted({0, 1, len(full) // 2, len(full) - 1}):
+            lifted.clear()
+            mu, counts = fresh_measure(g), [0, 0]
+            stop = _worklist(g, mu, components, policy, i, counts, limit=k)
+            assert counts[0] == len(lifted) == k
+            assert lifted == full[:k]
+            assert full[k] in components[stop]
+            _worklist(g, mu, components[stop:], policy, i, counts)
+            assert mu.values == expected
+            checked += 1
+    assert checked >= 120
+
+
+def test_decompose_keeps_winners_given_for_every_vertex():
+    for g in seeded_games(20, (2, 40), (2, 4, 8), seed=73):
+        regions = zielonka(g)
+        winners = [EVEN if v in regions.even else ODD for v in range(g.n)]
+        tally = [0, 0]
+        decided = solver._decompose(g, _components(g), list(winners), False, "lifo", 0, tally)
+        assert decided == (winners, 0, 0)
+        assert tally == [0, 0]
 
 
 def test_rounds_keep_the_measured_fixpoint(monkeypatch):
@@ -579,9 +621,10 @@ def test_completion_rejects_a_lost_vertex_given_to_the_measured_player(monkeypat
     # regions right, so only the guard after it shows the fault
     decompose = solver._decompose
 
-    def wrong(g, mu, *args):
-        winner, subgames, largest = decompose(g, mu, *args)
-        winner[winner.index(1 - mu.player)] = mu.player
+    def wrong(g, *args):
+        winner, subgames, largest = decompose(g, *args)
+        player = solver._sides(g, False)[0][0][0]
+        winner[winner.index(1 - player)] = player
         return winner, subgames, largest
 
     monkeypatch.setattr(solver, "_decompose", wrong)
@@ -766,15 +809,27 @@ def test_fixpoint_is_locally_consistent():
 def test_stats_fields():
     g = random_game(8, 4, (1, 3), seed=9)
     r = solve(g)
-    counts = g.priority_counts()
+    odd = sum(p % 2 for p in g.priority)
     assert r.stats.player in (EVEN, ODD)
-    assert r.stats.eta == min(counts.odd, counts.even)
+    assert r.stats.eta == min(odd, g.n - odd)
     assert r.stats.tree_width == r.measure.ranks.width == r.measure.top
     height = max(len(live_levels(g, r.stats.player)), 1)
     padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
     assert r.stats.tree_width == leaf_count(padded)
     assert r.stats.changes <= r.stats.lifts
     assert r.stats.subgames == r.stats.round_size == 0  # the probe finishes
+    # the measured player and eta come from the counts of odd and even
+    # priorities: ties go to Even, and eta = n // 2 on a half-odd game
+    for priorities, player, eta in (
+        ([1, 2, 2, 4, 3], EVEN, 2),
+        ([2, 4], EVEN, 0),
+        ([1, 1, 2], ODD, 1),
+        ([1, 1, 1, 2, 2, 2], EVEN, 3),
+    ):
+        n = len(priorities)
+        stats = solve(GameGraph([EVEN] * n, priorities, [[0]] * n, d=4)).stats
+        assert (stats.player, stats.eta) == (player, eta)
+    assert eta == n // 2
 
 
 # -- exhaustive and structured corpora ----------------------------------------
