@@ -98,21 +98,21 @@ class GameGraph:
         return f"<GameGraph n={self.n} m={self.edge_count} d={self.d}>"
 
 
-def normalize_priorities(raw: Sequence[int]) -> tuple[list[int], int]:
+def normalize_priorities(raw: Sequence[int]) -> tuple[Sequence[int], int]:
     """Shift raw nonnegative priorities into 1..d with d even.
 
     The shift is a single even constant chosen so the minimum lands on 1
     or 2; parities, and therefore winners, are unchanged.  Returns the
-    shifted priorities and d (the maximum rounded up to an even number).
+    shifted priorities, ``raw`` itself when the shift is 0, and d (the
+    maximum rounded up to an even number).
     """
-    raw = list(raw)
     if not raw:
         raise GameError("cannot normalize an empty priority list")
-    if min(raw) < 0:
-        raise GameError("priorities must be nonnegative")
     m = min(raw)
+    if m < 0:
+        raise GameError("priorities must be nonnegative")
     shift = (1 - m) if m % 2 else (2 - m)
-    shifted = [p + shift for p in raw]
+    shifted = [p + shift for p in raw] if shift else raw
     top = max(shifted)
     return shifted, top + (top % 2)
 

@@ -5,15 +5,16 @@ universal tree sized by eta = min(#odd-priority, #even-priority)
 vertices, at most n // 2 (`LeafRanks`, `Measure`).  That player is Even
 unless odd-priority vertices outnumber even-priority ones, and it wins
 exactly the vertices whose value ends below TOP.  A vertex it loses
-climbs all the way to TOP, so a solve takes three steps:
+climbs all the way to TOP, so a solve takes three steps, of which a
+one-level game, with at most one priority of each parity, skips the
+first two: the Buchi loop (`_buchi`) decides it whole.
 
 1. a probe lifts the measure for at most SLICE lifts (`_worklist`); a
    game it finishes is done;
 2. otherwise the components it finished are final, and the others are
    decided one at a time (`_decompose`);
 3. the vertices the measured player loses go to TOP, their value in the
-   least fixpoint, and one completion run lifts the probe's values, which
-   lie below that fixpoint too, up to it.
+   least fixpoint, and one completion run lifts the rest up to it.
 
 `zielonka` (recursive attractor decomposition) and `brute_force_solve`
 (positional strategy enumeration) are independent oracles for `solve`.
@@ -56,7 +57,7 @@ class SolveStats:
     tree_width: int      # leaves of the tree actually used
     lifts: int           # calls of `lift`, summed over every run
     changes: int         # lifts that increased a value, summed likewise
-    subgames: int        # subgames of 2+ vertices past the probe, Buchi or rounds
+    subgames: int        # subgames of 2+ vertices `_decompose` decided; 0 if one-level
     round_size: int      # largest tree size of any round; 0 if no round ran
 
 
@@ -414,55 +415,61 @@ def _sides(g: GameGraph, full_tree: bool) -> tuple[list[tuple[int, int]], int]:
     return [(p, g.n if full_tree else max(size, 1)) for p, size in sides], sides[0][1]
 
 
-def _attractor(g: GameGraph, target: list, player: int, live: set, left) -> list:
-    """player's attractor of target inside live, target first.  A vertex
-    of ``live`` reached by an edge joins when player owns it or when
-    ``left[u]``, its count of distinct successors outside the attractor,
-    falls to 0.  Joiners leave ``live``, and counts fall in place."""
-    owner, preds = g.owner, g.preds
-    attr = list(target)
+def _attractor(g: GameGraph, attr: list, player: int, live: set, left: dict, within) -> list:
+    """player's attractor inside live of the target list attr, grown in
+    place.  A vertex u of ``live`` reached by an edge joins when player
+    owns it or when ``left[u]``, its count of distinct successors in
+    ``within`` outside the attractor, falls to 0; the count is taken when u
+    is first reached.  Joiners leave ``live``, and counts fall in place."""
+    owner, preds, succ = g.owner, g.preds, g.succ
     for w in attr:  # attr grows while it is read
         for u in preds[w]:
             if u in live:
-                left[u] -= 1
-                if owner[u] == player or not left[u]:
-                    live.remove(u)
-                    attr.append(u)
+                if owner[u] != player:
+                    # a stored count is never 0: u would have joined
+                    k = (left.get(u) or len(within.intersection(succ[u]))) - 1
+                    left[u] = k
+                    if k:
+                        continue
+                live.remove(u)
+                attr.append(u)
     return attr
 
 
-def _buchi(g: GameGraph, live: list, b: int, size: int, counts, winner: list, attract) -> int:
-    """Decide ``live`` by the Buchi loop; return its peels.
+def _buchi(g: GameGraph, live: set, b: int, size: int, winner: list) -> list:
+    """Decide ``live``, with priority b on top and at most one other, by
+    the universal attractor decomposition of Jurdzinski and Morvan (2020)
+    over a one-level tree; return its vertices in the order decided.
 
-    ``live`` is the undecided part of a subgame with priority b on top and
-    at most one other.  The loop is the universal attractor decomposition
-    of Jurdzinski and Morvan (2020) over a one-level tree.  With t b's
-    player and o the other, while t's attractor of the live b-vertices
-    leaves a rest U, o wins its attractor of U, which is removed; then t
-    wins what is left.  A peel that takes no b-vertex leaves t's attractor
-    whole, so the loop peels at most |b| + 1 times, the width of o's
-    one-level tree, ``size`` = |b|; more raise AssertionError.
-    ``counts[u]`` counts u's successors not won by t, which for an
-    undecided vertex of o are its live ones: o's attractor would hold one
-    with a successor won by o.
+    A move out of ``live`` enters a vertex won by the mover's opponent, so
+    attractors count only live successors.  With t b's player and o the
+    other, while t's attractor of the live b-vertices leaves a rest U, o
+    wins its attractor of U, which leaves ``live``; then t wins what is
+    left.  A peel that takes no b-vertex leaves t's attractor whole, so
+    there are at most |b| + 1 peels, the width of o's one-level tree,
+    ``size`` = |b|; more raise AssertionError.
     """
     priority = g.priority
     t = b % 2  # EVEN is 0
-    peels = 0
-    while live:
-        rest = {v for v in live if priority[v] != b}
-        _attractor(g, [v for v in live if priority[v] == b], t, rest, {v: counts[v] for v in rest})
-        if rest:
-            peels += 1
-            if peels > size + 1:
-                raise AssertionError(f"the Buchi loop peeled more than {size + 1} times")
-        # o wins the rest U if there is one; otherwise t wins all that is live
-        won, p = (list(rest), 1 - t) if rest else (live, t)
+    order, peels = [], 0
+    while True:
+        attr = [v for v in live if priority[v] == b]
+        rest = live.difference(attr)
+        left = {}  # t's attractor counts o's vertices, o's t's
+        _attractor(g, attr, t, rest, left, live)
+        if not rest:
+            break
+        peels += 1
+        if peels > size + 1:
+            raise AssertionError(f"the Buchi loop peeled more than {size + 1} times")
+        won = _attractor(g, list(rest), 1 - t, set(attr), left, live)
         for v in won:
-            winner[v] = p
-        attract(won)
-        live = [v for v in live if winner[v] < 0]
-    return peels
+            winner[v] = 1 - t
+        order += won
+        live.difference_update(won)
+    for v in attr:
+        winner[v] = t
+    return order + attr
 
 
 def _decompose(
@@ -476,30 +483,31 @@ def _decompose(
 
     Both players' attractors of all that is decided are removed, so what
     stays undecided of a component is a subgame in which every vertex
-    keeps a successor.  ``unwon[p][u]`` counts u's distinct successors
-    that p has not won.  A subgame with at most one priority of each
-    parity goes to `_buchi`.  Any other is built as a game of its own
-    with only its inner edges (a dropped edge enters a vertex won by the
-    opponent of its source's owner, so it never decides a lift) and
-    decided in rounds s = 1, 2, 4, ...: each side, the subgame's measured
-    player first, lifts a fresh measure over the tree of size min(s, its
-    own size) and wins what stays below TOP, and at its own size loses
-    the rest.  A measure into any ordered tree is sound, one into the
-    own-size tree is complete, and most games need far less (the bounded
-    dominions of Jurdzinski, Paterson and Zwick, SODA 2006, and Schewe,
-    FSTTCS 2007).
+    keeps a successor, and none can move into a vertex its owner has won.
+    ``unwon[p][u]`` counts u's distinct successors that p has not won.  A
+    one-level subgame goes to `_buchi`, as a one-level game goes whole
+    from `solve`.  Any other is built as a game of its own with only its
+    inner edges (a dropped edge enters a vertex won by the opponent of its
+    source's owner, so it never decides a lift) and decided in rounds s =
+    1, 2, 4, ...: each side, the subgame's measured player first, lifts a
+    fresh measure over the tree of size min(s, its own size) and wins what
+    stays below TOP, and at its own size loses the rest.  A measure into
+    any ordered tree is sound, one into the own-size tree is complete, and
+    most games need far less (the bounded dominions of Jurdzinski,
+    Paterson and Zwick, SODA 2006, and Schewe, FSTTCS 2007).
     """
     owner, succ, priority = g.owner, g.succ, g.priority
     undecided = set(range(g.n))
-    distinct = [len(set(s)) for s in succ]
-    unwon = [distinct, distinct.copy()]  # indexed by player, EVEN = 0
+    everything = frozenset(undecided)  # unwon counts decided successors as well
+    unwon = [{}, {}]  # indexed by player, EVEN = 0
     subgames = largest = 0
 
     def attract(decided: list) -> None:
         # both players' attractors of the decided vertices
         undecided.difference_update(decided)
         for p in (EVEN, ODD):
-            for u in _attractor(g, [v for v in decided if winner[v] == p], p, undecided, unwon[p]):
+            won = [v for v in decided if winner[v] == p]
+            for u in _attractor(g, won, p, undecided, unwon[p], everything):
                 winner[u] = p
 
     attract([v for v in range(g.n) if winner[v] >= 0])
@@ -511,8 +519,8 @@ def _decompose(
             present = {priority[v] for v in sub}
             if len(present) == len({p % 2 for p in present}):
                 b = max(present)
-                size = sum(priority[v] == b for v in sub)  # o's tree: its count of b's parity
-                _buchi(g, sub, b, size, unwon[b % 2], winner, attract)
+                _buchi(g, set(sub), b, sum(priority[v] == b for v in sub), winner)
+                attract(sub)
                 break
             index = {v: j for j, v in enumerate(sub)}
             inner = [[index[w] for w in succ[v] if w in index] for v in sub]
@@ -545,33 +553,42 @@ def solve(
 
     The measured player's tree is sized by eta, or by n under
     ``full_tree=True``, to cross-check that the smaller tree loses
-    nothing.  ``worklist`` picks the scheduling policy inside each
-    strongly connected component (`_worklist`); the result is the same
-    for all of them, only the lift counts differ.  ``measure``, ``player``
-    and ``tree_width`` are the measured player's least fixpoint over its
-    tree (module docstring), and the lift and change counts add up every
-    run.
+    nothing.  ``worklist`` picks the scheduling policy of every lifting
+    run (`_worklist`); the result is the same for all of them, only the
+    lift counts differ.  ``measure``, ``player`` and ``tree_width`` are
+    the measured player's least fixpoint over its tree (module
+    docstring), and the lift and change counts add up every run.
     """
     [(player, size), _], eta = _sides(g, full_tree)
     mu = Measure(g, player, size)
-    components = _components(g)
     tally = [0, 0]
-    start = _worklist(g, mu, components, worklist, seed, tally, SLICE)
     subgames = round_size = 0
-    if start is not None:
+    winner = None
+    present = set(g.priority)
+    if len(present) == 1 or len(present) == 2 and sum(present) % 2:
+        # one level: the Buchi loop decides it whole; LIFO lifts the first decided first
         winner = [-1] * g.n
-        for v in itertools.chain(*components[:start]):  # final in mu
-            winner[v] = player if mu.values[v] != mu.top else 1 - player
-        winner, subgames, round_size = _decompose(
-            g, components[start:], winner, full_tree, worklist, seed, tally
-        )
-        for v, w in enumerate(winner):
-            if w != player:
-                mu.set(v, mu.top)
-        _worklist(g, mu, components[start:], worklist, seed, tally)
-        # the completion would silently repair a vertex wrongly given to
-        # the measured player, at the cost of its climb to TOP
-        if any(w == player and mu.values[v] == mu.top for v, w in enumerate(winner)):
+        b = max(present)
+        rest = [_buchi(g, set(range(g.n)), b, g.priority.count(b), winner)[::-1]]
+    else:
+        components = _components(g)
+        start = _worklist(g, mu, components, worklist, seed, tally, SLICE)
+        if start is not None:
+            winner = [-1] * g.n
+            for v in itertools.chain(*components[:start]):  # final in mu
+                winner[v] = player if mu.values[v] != mu.top else 1 - player
+            rest = components[start:]
+            winner, subgames, round_size = _decompose(
+                g, rest, winner, full_tree, worklist, seed, tally
+            )
+    if winner is not None:
+        values, target, top = mu.values, mu.target, mu.top
+        for v in itertools.compress(range(g.n), map(player.__ne__, winner)):
+            values[v] = target[v] = top  # `set` at TOP, whose target is TOP
+        _worklist(g, mu, rest, worklist, seed, tally)
+        # the completion would silently repair a vertex wrongly given to the
+        # measured player by its climb to TOP, where only the lost ones were put
+        if values.count(top) + winner.count(player) != g.n:
             raise AssertionError("the decomposition gave the measured player a vertex it loses")
     won = frozenset(v for v in range(g.n) if mu.values[v] != mu.top)
     lost = frozenset(range(g.n)) - won

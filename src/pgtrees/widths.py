@@ -181,5 +181,6 @@ def width_report(n_values: Sequence[int], h_values: Sequence[int]) -> WidthTable
                 raise AssertionError(f"bound ordering violated at ({n}, {h})")
             be = _exponential(x, log_n, h) if n >= 2 else math.nan
             half = sums[lg - 1] + half_lead * comb[lg - 1] if lg else 0
-            table.rows[n, h] = WidthRow(n, h, w, bb, bo, be, bo / w, w / half if half else math.inf)
+            row = (n, h, w, bb, bo, be, bo / w, w / half if half else math.inf)
+            table.rows[n, h] = tuple.__new__(WidthRow, row)  # skips NamedTuple's Python __new__
     return table

@@ -272,6 +272,22 @@ def test_normalize_priorities_examples():
     assert normalize_priorities([3, 5]) == ([1, 3], 4)
 
 
+def test_normalize_priorities_shifts_only_when_needed():
+    # an even shift puts the minimum on 1 or 2; a list already there comes
+    # back as it is, and d is the maximum rounded up to an even number
+    big = 10**40 + 1
+    for raw, shifted, d in (
+        ([0, 3, 0], [2, 5, 2], 6),
+        ([1, 4, 2], [1, 4, 2], 4),
+        ([2, 5], [2, 5], 6),
+        ([3, 3, 6], [1, 1, 4], 4),
+        ([2, big], [2, big], big + 1),
+    ):
+        out = normalize_priorities(raw)
+        assert out == (shifted, d)
+        assert (out[0] is raw) == (min(raw) in (1, 2))
+
+
 def test_normalize_preserves_parity_and_stays_close():
     rng = random.Random(5)
     for _ in range(200):

@@ -214,19 +214,20 @@ def test_memo_stays_within_its_cap(monkeypatch):
 
 
 def test_vertex_consistent_does_not_read_the_memo(monkeypatch):
-    # Even measures; its value at the self-loop of priority 1 climbs
-    # 0 -> 1 -> TOP (2).  A memo entry claiming that a strict edge into
-    # rank 1 admits 1 again stops the climb below TOP; the check, which
-    # computes afresh, sees the fault.
-    g = GameGraph([ODD, EVEN], [1, 2], [[0], [1]], d=2)
+    # Even measures over a one-level tree of width 2, and Odd's two levels
+    # send the game to the probe, which lifts Even's value at the
+    # self-loop of priority 1 from 0 -> 1 -> TOP (2).  A memo entry
+    # claiming that a strict edge into rank 1 admits 1 again stops the
+    # climb below TOP; the check, which computes afresh, sees the fault.
+    g = GameGraph([ODD, EVEN, EVEN], [1, 2, 4], [[0], [1], [2]], d=4)
     mu = solve(g).measure
-    assert mu.player == EVEN and mu.values == [2, 0] == [mu.top, 0]
+    assert mu.player == EVEN and mu.values == [2, 0, 0] == [mu.top, 0, 0]
     assert vertex_consistent(g, mu, 0)
     poisoned = LeafRanks(1, 1)
     poisoned.memo[1][True][1] = 1
     monkeypatch.setattr(solver, "leaf_ranks", lambda size, height: poisoned)
     mu = solve(g).measure
-    assert mu.values == [1, 0]
+    assert mu.values == [1, 0, 0]
     assert not vertex_consistent(g, mu, 0)
 
 
@@ -480,13 +481,30 @@ def record_decompose(monkeypatch) -> list:
     return decided
 
 
+def record_buchi(monkeypatch) -> list:
+    """Wrap `solver._buchi` so that each call appends the winners it gave
+    the vertices of its subgame, as a dict, to the list given back."""
+    buchi = solver._buchi
+    decided = []
+
+    def recorded(g, live, b, size, winner):
+        sub = list(live)
+        order = buchi(g, live, b, size, winner)
+        decided.append({v: winner[v] for v in sub})
+        return order
+
+    monkeypatch.setattr(solver, "_buchi", recorded)
+    return decided
+
+
 def test_decomposition_keeps_the_measured_fixpoint(monkeypatch):
-    # games of this size need more than one probe slice, so their later
-    # components are decided by attractors and, on d = 2, by the Buchi
-    # loop; the returned measure is still the measured player's least
-    # fixpoint.  The last game has priorities 1, 2 and 3, so Even has two
-    # live levels, Odd one, and its subgame goes to the rounds
+    # the d = 2 games are decided whole by the Buchi loop, with no probe;
+    # the returned measure is still the measured player's least fixpoint.
+    # The last game has priorities 1, 2 and 3, so Even has two live
+    # levels, Odd one; it needs more than one probe slice, and its
+    # subgame goes to the rounds
     decided = record_decompose(monkeypatch)
+    buchi = record_buchi(monkeypatch)
     games = list(seeded_games(30, (200, 300), (2,), seed=2))
     mixed = random_game(200, 4, (1, 3), seed=2)
     games.append(GameGraph(mixed.owner, [min(p, 3) for p in mixed.priority], mixed.succ, d=4))
@@ -510,6 +528,10 @@ def test_decomposition_keeps_the_measured_fixpoint(monkeypatch):
         assert r.measure.values == expected
         assert r.regions == regions
         assert all(winner == winners for winner in decided)
+        assert all(winners[v] == w for call in buchi for v, w in call.items())
+        if g.d == 2:  # each of the four solves, one call over the whole game
+            assert [len(call) for call in buchi] == [g.n] * 4
+        buchi.clear()
     assert all(decomposed.values())
 
 
@@ -631,6 +653,21 @@ def test_completion_rejects_a_lost_vertex_given_to_the_measured_player(monkeypat
     with pytest.raises(AssertionError, match="gave the measured player a vertex it loses"):
         solve(random_game(60, 8, (1, 3), seed=3))
 
+    # and so for the winners of a one-level game, which the Buchi loop gives
+    buchi = solver._buchi
+
+    def wrong_buchi(g, live, b, size, winner):
+        order = buchi(g, live, b, size, winner)
+        player = solver._sides(g, False)[0][0][0]
+        winner[winner.index(1 - player)] = player
+        return order
+
+    monkeypatch.setattr(solver, "_buchi", wrong_buchi)
+    g = random_game(60, 2, (1, 3), seed=2)
+    assert 0 < len(zielonka(g).even) < g.n
+    with pytest.raises(AssertionError, match="gave the measured player a vertex it loses"):
+        solve(g)
+
 
 def test_many_subgames_in_one_solve():
     # 600 disjoint 2-cycles v <-> v ^ 1, about half with a self-loop: the
@@ -674,30 +711,71 @@ def test_buchi_loop_peels_once_per_top_vertex_and_once_more(monkeypatch):
     # Swapped sizing, by the count of priority 1, cannot fail here or on
     # any game with two priorities: each nonempty U is a fresh set of
     # low-priority vertices, so the loop also peels at most that many
-    # times.  A sizing that fails needs trees of more than one level
-    k = SLICE
-    g = ladder(k)
-    assert len(_components(g)) == 1
+    # times.  A sizing that fails needs trees of more than one level.
+    # Odd wins everything, and lifting in the order the loop decided the
+    # vertices, x_0 first, lifts each vertex once and x_0 twice; in
+    # ascending order it would take about k * k lifts
     buchi = solver._buchi
-    peels = []
+    calls = []
 
-    def recorded(g, live, b, size, *rest):
-        peels.append((b, size, buchi(g, live, b, size, *rest)))
-        return peels[-1][2]
+    def recorded(g, live, b, size, winner):
+        calls.append((len(live), b, size))
+        return buchi(g, live, b, size, winner)
 
     monkeypatch.setattr(solver, "_buchi", recorded)
-    r = solve(g)
-    assert r.stats.lifts > SLICE  # the probe paused, so the loop ran
-    assert peels == [(2, k, k + 1)]
+    for k in (1, 2, 3, 10, SLICE, 600):
+        g = ladder(k)
+        calls.clear()
+        r = solve(g)
+        assert calls == [(g.n, 2, k)]  # the whole game, in one call
+        assert r.stats.lifts == 2 * k + 2
+        assert r.regions.odd == frozenset(range(g.n))
     assert r.regions == zielonka(g)
-    assert r.regions.odd == frozenset(range(g.n))
 
-    def undersized(g, live, b, size, *rest):
-        return buchi(g, live, b, size - 1, *rest)
+    def undersized(g, live, b, size, winner):
+        return buchi(g, live, b, size - 1, winner)
 
     monkeypatch.setattr(solver, "_buchi", undersized)
-    with pytest.raises(AssertionError, match=f"Buchi loop peeled more than {k} times"):
-        solve(g)
+    for k in (1, 10, SLICE):
+        with pytest.raises(AssertionError, match=f"Buchi loop peeled more than {k} times"):
+            solve(ladder(k))
+
+
+def test_one_level_games_are_decided_whole(monkeypatch):
+    # no SCC search and no probe: the Buchi loop decides the game, and the
+    # completion still reaches the measured player's least fixpoint, also
+    # with one priority, with priorities 2 and 3 (b odd), with repeated
+    # successors and under every policy and the full tree
+    def no_search(g):
+        raise AssertionError("a one-level game searched for components")
+
+    monkeypatch.setattr(solver, "_components", no_search)
+    rng = random.Random(89)
+    checked = 0
+    for i, g in enumerate(seeded_games(20, (1, 400), (2,), seed=89)):
+        p = rng.choice((1, 2))
+        variants = (
+            g,
+            GameGraph(g.owner, [q + 1 for q in g.priority], g.succ, d=4),
+            GameGraph(g.owner, [p] * g.n, g.succ, d=2),
+            GameGraph(g.owner, g.priority, [s + s[::-1] for s in g.succ], d=2),
+        )
+        for h in variants:
+            assert one_level(h)
+            regions = zielonka(h)
+            expected = {full: whole_game_values(h, full) for full in (False, True)}
+            for options in (
+                dict(worklist="fifo"),
+                dict(worklist="lifo"),
+                dict(worklist="random", seed=i),
+                dict(full_tree=True),
+            ):
+                r = solve(h, **options)
+                assert r.measure.values == expected[options.get("full_tree", False)]
+                assert r.regions == regions
+                assert r.stats.subgames == r.stats.round_size == 0
+                checked += 1
+    assert checked == 20 * 4 * 4
 
 
 def test_decomposition_under_full_tree():
@@ -714,8 +792,8 @@ def test_decomposition_under_full_tree():
 def test_single_vertex_subgame_decided_by_its_self_loop():
     # a chain of self-loops, each its own component; v's other successor,
     # v - 1, is won by v's owner's opponent, so no attractor takes v, and
-    # past the probe the Buchi loop gives each vertex to the player of its
-    # priority, by its self-loop
+    # the Buchi loop gives each vertex to the player of its priority, by
+    # its self-loop
     n = 3 * SLICE
     succ = [[0]] + [[v, v - 1] for v in range(1, n)]
     owner = [(v + 1) % 2 for v in range(n)]  # the loser of v - 1 owns v
@@ -728,14 +806,15 @@ def test_single_vertex_subgame_decided_by_its_self_loop():
 
 
 def test_repeated_edge_counts_once_in_the_attractor():
-    # an Even path 0 -> 1 -> ... with a self-loop at its end, past the
-    # probe, and Odd's u, whose one move into 0 is listed twice: Even's
-    # attractor takes u, which has no self-loop to decide it by
+    # an Even path 0 -> 1 -> ... with a self-loop at its end, and Odd's u,
+    # whose one move into 0 is listed twice: Even's attractor in the Buchi
+    # loop takes u, which has no self-loop to decide it by, and the
+    # completion lifts each vertex once
     n = SLICE + 45
     succ = [[v + 1] for v in range(n - 2)] + [[n - 2], [0, 0]]
     g = GameGraph([EVEN] * (n - 1) + [ODD], [2] * (n - 1) + [1], succ, d=2)
     r = solve(g)
-    assert r.stats.lifts > SLICE
+    assert r.stats.lifts == n
     assert r.regions == zielonka(g)
     assert n - 1 in r.regions.even
 
@@ -760,8 +839,8 @@ def test_lift_count_ignores_successor_order():
 def test_opponent_vertices_are_lifted_only_to_rise(monkeypatch):
     # a changed vertex queues only the predecessors its new target exceeds,
     # so a vertex the measured player does not own, which needs every
-    # target, rises at each lift but the first.  Only games the probe
-    # finishes count: there one run makes every lift
+    # target, rises at each lift but the first.  Only games lifted by one
+    # run count: one-level games and those the probe finishes
     calls = []
 
     def recording(g, mu, v):
@@ -792,11 +871,27 @@ def test_unknown_worklist_rejected():
         solve(g, worklist="sideways")
 
 
+def one_level(g):
+    """At most one priority of each parity: `solve` decides such a game
+    whole by the Buchi loop, with no probe."""
+    present = set(g.priority)
+    return len(present) == 1 or len(present) == 2 and sum(present) % 2 == 1
+
+
 def test_change_count_bound():
+    # the probe lifts every vertex at least once; a one-level game sets
+    # the vertices the measured player loses to TOP, where none is lifted
+    one = 0
     for g in seeded_games(200, (1, 10), (2, 4, 6), seed=47):
         r = solve(g)
         assert r.stats.changes <= g.n * (r.stats.tree_width + 1)
-        assert r.stats.lifts >= g.n
+        if one_level(g):
+            won = r.regions.even if r.stats.player == EVEN else r.regions.odd
+            assert r.stats.lifts >= len(won)
+            one += 1
+        else:
+            assert r.stats.lifts >= g.n
+    assert 20 <= one <= 180
 
 
 def test_fixpoint_is_locally_consistent():

@@ -8,6 +8,7 @@ import pytest
 
 from pgtrees.widths import (
     CSV_HEADER,
+    WidthRow,
     bound_binomial,
     bound_exponential,
     bound_old,
@@ -244,7 +245,7 @@ def test_report_old_new_ratio_slope():
 def test_report_rows_equal_rows_from_the_recursion_and_bounds():
     # the report reads its columns from the closed form; every row must
     # still equal one built from the defining recursion and the bound
-    # functions, floats and nan included
+    # functions, floats and nan included, and be a `WidthRow`
     rng = random.Random(20)
     # n = 1, the powers of two up to 2000 and their neighbours, and a sample
     near_powers = {(1 << k) + d for k in range(11) for d in (-1, 0, 1)} - {0}
@@ -261,5 +262,6 @@ def test_report_rows_equal_rows_from_the_recursion_and_bounds():
             bound_exponential(n, h) if n >= 2 else math.nan,
             bo / w, w / half if half else math.inf,
         )
+        assert type(r) is WidthRow
         assert len(r) == len(want)
         assert all(a == b or (a != a and b != b) for a, b in zip(r, want)), (r, want)
