@@ -253,70 +253,54 @@ def lift(g: GameGraph, mu: Measure, v: int) -> int:
 
 def _components(g: GameGraph) -> list[list[int]]:
     """Strongly connected components of g, sinks first, each in reverse
-    DFS finishing order.
+    DFS finishing order, by Kosaraju's two searches (Sharir 1981).
 
-    Every edge stays inside its component or enters an earlier one, so a
-    component comes before every component that can reach it.  The search
-    starts from the vertices in ascending order and visits each vertex's
-    successors in ascending order, so neither the components nor their
-    order depend on the order of a successor list.
-
-    This is Tarjan's algorithm with an explicit stack of successor
-    iterators, so long paths need no Python recursion.  A vertex found
-    but not yet in a component is either on the search path (``frames``)
-    or, once its search has ended, on ``finished``; together they make
-    Tarjan's component stack.  A vertex is numbered by their count when
-    it is found, which is where its component starts if it turns out to
-    be the root; ``low[v]`` is -1 before v is found and n once its
-    component is out, above every position.  When a root's search ends,
-    the rest of its component is what finished after the root was found:
-    the tail of ``finished``.  The component lists the root first and its
-    first-finished vertex last.
+    The first search starts from the vertices in ascending order and
+    visits each vertex's successors in ascending order, so neither the
+    components nor their order depend on the order of a successor list;
+    a stack of successor iterators spares long paths Python recursion.
+    The second takes the vertices latest finished first.  Each one not yet
+    placed finished last in its component, and the unplaced vertices that
+    reach it, searched over ``g.preds``, are that component.  Reversed,
+    the list holds the components in increasing finishing index of their
+    first vertex, so every edge stays inside one or enters an earlier one.
     """
     n = g.n
-    succ = g.succ
-    low = [-1] * n
-    finished: list[int] = []
-    components = []
+    succ, preds = g.succ, g.preds
+    found = [False] * n
+    order = []  # finishing order
     for root in range(n):
-        if low[root] >= 0:
+        if found[root]:
             continue
-        low[root] = 0
+        found[root] = True
         s = succ[root]
-        frames = [(root, iter(sorted(s) if len(s) > 1 else s), 0)]
+        frames = [(root, iter(sorted(s) if len(s) > 1 else s))]
         while frames:
-            v, successors, pos = frames[-1]
-            lv = low[v]
+            v, successors = frames[-1]
             for w in successors:
-                lw = low[w]
-                if lw < 0:
-                    low[w] = lw = len(frames) + len(finished)
+                if not found[w]:
+                    found[w] = True
                     s = succ[w]
-                    frames.append((w, iter(sorted(s) if len(s) > 1 else s), lw))
+                    frames.append((w, iter(sorted(s) if len(s) > 1 else s)))
                     break
-                if lw < lv:
-                    low[v] = lv = lw
             else:
                 frames.pop()
-                if lv < pos:
-                    finished.append(v)
-                    u = frames[-1][0]
-                    if lv < low[u]:
-                        low[u] = lv
-                # the path is as long as when v was found, so finished
-                # then held pos - len(frames) vertices
-                elif pos - len(frames) == len(finished):
-                    low[v] = n
-                    components.append([v])
-                else:
-                    first = pos - len(frames)
-                    component = finished[first:]
-                    del finished[first:]
-                    component.append(v)
-                    for w in component:
-                        low[w] = n
-                    component.reverse()
-                    components.append(component)
+                order.append(v)
+    place: list[list[int] | None] = [None] * n  # each vertex's component
+    components = []
+    for v in reversed(order):
+        component = place[v]
+        if component is None:
+            place[v] = component = []
+            components.append(component)
+            reached = [v]
+            for u in reached:  # reached grows while it is read
+                for w in preds[u]:
+                    if place[w] is None:
+                        place[w] = component
+                        reached.append(w)
+        component.append(v)
+    components.reverse()
     return components
 
 
@@ -565,7 +549,7 @@ def solve(
     subgames = round_size = 0
     winner = None
     present = set(g.priority)
-    if len(present) == 1 or len(present) == 2 and sum(present) % 2:
+    if len(present) == len({p % 2 for p in present}):
         # one level: the Buchi loop decides it whole; LIFO lifts the first decided first
         winner = [-1] * g.n
         b = max(present)

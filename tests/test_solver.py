@@ -1,5 +1,6 @@
 """Lifting solver against its two independent reference solvers."""
 
+import itertools
 import random
 from bisect import bisect_left
 
@@ -245,21 +246,28 @@ def reachable(g, v):
 
 
 def test_components_are_mutual_reachability_classes_sinks_first():
+    # the lift counts rest on the exact order: each component lists its
+    # vertices latest finished first, and the components come in
+    # increasing finishing index of that first vertex.  A repeated
+    # successor changes neither
     games = 0
     for g in seeded_games(600, (1, 12), (2, 4, 6), seed=83):
-        components = _components(g)
-        assert sorted(v for c in components for v in c) == list(range(g.n))
-        reach = [reachable(g, v) for v in range(g.n)]
-        finish = {v: i for i, v in enumerate(finishing_order(g.succ))}
-        position = {}
-        for i, c in enumerate(components):
-            assert c == sorted(c, key=finish.__getitem__, reverse=True)
-            for v in c:
-                position[v] = i
-                assert set(c) == {w for w in reach[v] if v in reach[w]}
-        for v in range(g.n):
-            for w in g.succ[v]:
-                assert position[w] <= position[v]
+        repeated = GameGraph(g.owner, g.priority, [s + s[::-1] for s in g.succ], d=g.d)
+        for h in (g, repeated):
+            components = _components(h)
+            assert sorted(v for c in components for v in c) == list(range(h.n))
+            reach = [reachable(h, v) for v in range(h.n)]
+            finish = {v: i for i, v in enumerate(finishing_order(h.succ))}
+            assert [finish[c[0]] for c in components] == sorted(finish[c[0]] for c in components)
+            position = {}
+            for i, c in enumerate(components):
+                assert c == sorted(c, key=finish.__getitem__, reverse=True)
+                for v in c:
+                    position[v] = i
+                    assert set(c) == {w for w in reach[v] if v in reach[w]}
+            for v in range(h.n):
+                for w in h.succ[v]:
+                    assert position[w] <= position[v]
         games += len(components) not in (1, g.n)
     assert games >= 100  # many games mix cyclic and acyclic parts
 
@@ -822,9 +830,15 @@ def test_repeated_edge_counts_once_in_the_attractor():
 def test_lift_count_ignores_successor_order():
     # the component search visits successors in ascending order and
     # predecessor lists are ascending, so the order of a successor list
-    # cannot reach the queue, nor the random policy's picks from it
+    # cannot reach the queue, nor the random policy's picks from it.  The
+    # probe finishes every small game; most larger ones go on to
+    # `_decompose` and the completion run
     rng = random.Random(61)
-    for g in seeded_games(300, (1, 12), (2, 4, 6, 8), seed=59):
+    decomposed = 0
+    for g in itertools.chain(
+        seeded_games(300, (1, 12), (2, 4, 6, 8), seed=59),
+        seeded_games(20, (100, 300), (8, 16), seed=62),
+    ):
         shuffled = [list(s) for s in g.succ]
         for s in shuffled:
             rng.shuffle(s)
@@ -834,6 +848,8 @@ def test_lift_count_ignores_successor_order():
             assert a.stats.lifts == b.stats.lifts
             assert a.stats.changes == b.stats.changes
             assert a.measure.values == b.measure.values
+            decomposed += a.stats.lifts > SLICE  # the probe stopped
+    assert decomposed >= 50
 
 
 def test_opponent_vertices_are_lifted_only_to_rise(monkeypatch):
