@@ -44,7 +44,9 @@ class GameGraph:
     Every vertex has at least one successor.  ``d`` is an even upper bound
     on the priorities; it may exceed the largest priority actually present
     (e.g. when a generator was asked for priorities up to d but drew none
-    of the top ones).
+    of the top ones).  ``succ[v]`` keeps v's successors as given, repeats
+    included; ``preds[w]`` lists each vertex with an edge into w once, in
+    ascending order, whatever the order of the successor lists.
     """
 
     __slots__ = ("n", "d", "owner", "priority", "succ", "preds")

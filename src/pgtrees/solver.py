@@ -252,18 +252,19 @@ def lift(g: GameGraph, mu: Measure, v: int) -> int:
 
 
 def _components(g: GameGraph) -> list[list[int]]:
-    """Strongly connected components of g, sinks first, each in reverse
-    DFS finishing order, by Kosaraju's two searches (Sharir 1981).
+    """Strongly connected components of g, sinks first, each in the order
+    its vertices finish the first of Kosaraju's two searches (Sharir 1981).
 
-    The first search starts from the vertices in ascending order and
-    visits each vertex's successors in ascending order, so neither the
-    components nor their order depend on the order of a successor list;
-    a stack of successor iterators spares long paths Python recursion.
-    The second takes the vertices latest finished first.  Each one not yet
-    placed finished last in its component, and the unplaced vertices that
-    reach it, searched over ``g.preds``, are that component.  Reversed,
-    the list holds the components in increasing finishing index of their
-    first vertex, so every edge stays inside one or enters an earlier one.
+    The first search walks ``g.preds`` from the vertices in ascending
+    order.  `GameGraph` lists each predecessor once, ascending, whatever
+    the successor lists hold, so the finishing order, and with it the
+    output, does not depend on the order of a successor list; a stack of
+    iterators spares long paths Python recursion.  The second takes the
+    vertices latest finished first, and each one not yet placed floods the
+    unplaced vertices it reaches over ``g.succ``.  Any other component it
+    reaches holds a vertex finished later, an edge into a component being
+    one out of it in the first search, so it is placed already: the flood
+    takes exactly its component, and the sinks come first.
     """
     n = g.n
     succ, preds = g.succ, g.preds
@@ -273,15 +274,13 @@ def _components(g: GameGraph) -> list[list[int]]:
         if found[root]:
             continue
         found[root] = True
-        s = succ[root]
-        frames = [(root, iter(sorted(s) if len(s) > 1 else s))]
+        frames = [(root, iter(preds[root]))]
         while frames:
-            v, successors = frames[-1]
-            for w in successors:
+            v, predecessors = frames[-1]
+            for w in predecessors:
                 if not found[w]:
                     found[w] = True
-                    s = succ[w]
-                    frames.append((w, iter(sorted(s) if len(s) > 1 else s)))
+                    frames.append((w, iter(preds[w])))
                     break
             else:
                 frames.pop()
@@ -289,18 +288,17 @@ def _components(g: GameGraph) -> list[list[int]]:
     place: list[list[int] | None] = [None] * n  # each vertex's component
     components = []
     for v in reversed(order):
-        component = place[v]
-        if component is None:
+        if place[v] is None:
             place[v] = component = []
             components.append(component)
             reached = [v]
             for u in reached:  # reached grows while it is read
-                for w in preds[u]:
+                for w in succ[u]:
                     if place[w] is None:
                         place[w] = component
                         reached.append(w)
-        component.append(v)
-    components.reverse()
+    for v in order:
+        place[v].append(v)
     return components
 
 
@@ -315,13 +313,14 @@ def _worklist(
     `lift` never lowers a value, so every order reaches that fixpoint;
     the order sets only the lift count.  A lift reads only successors, so
     each of ``components``, sinks first, is lifted to its fixpoint before
-    the next.  A component starts as the queue, and LIFO lifts its
-    first-finished vertex first, so a vertex tends to follow those it
-    reaches; FIFO and a ``seed``-ed random order remain for testing.  A
-    change at v queues only the predecessors u that v's new target
-    exceeds.  A vertex off the queue is consistent, and such a u stays
-    so.  An opponent vertex needs every target at most its value, and
-    only v's moved.  A measured vertex needs one, and v's new target
+    the next.  A component starts as the queue, and LIFO lifts first its
+    last vertex, the one `_components`' first search finished last, which
+    every other vertex of the component reaches; so a vertex tends to
+    follow those it reaches.  FIFO and a ``seed``-ed random order remain
+    for testing.  A change at v queues only the predecessors u that v's
+    new target exceeds.  A vertex off the queue is consistent, and such a
+    u stays so.  An opponent vertex needs every target at most its value,
+    and only v's moved.  A measured vertex needs one, and v's new target
     serves if its old one did.
 
     ``counts`` is ``[lifts, changes]`` and gains this run's share.

@@ -12,10 +12,10 @@ does height by height; `dp_embeds` decides embedding by a two-index
 dynamic program, where `trees.embeds` matches children greedily;
 `with_stop_branches` builds the padded tree whose leaves
 `solver.LeafRanks` numbers without building it; `leaf_paths` lists a
-tree's leaves; `finishing_order` is the depth-first search whose
-reversed order `solver._components` lists each component in.  All of
-them recurse once or twice per level, so they suit the shallow trees and
-small games of the tests only.
+tree's leaves; `finishing_order` is the depth-first search over
+predecessors whose order `solver._components` lists each component in.
+All of them recurse once or twice per level, so they suit the shallow
+trees and small games of the tests only.
 """
 
 import re
@@ -228,20 +228,22 @@ def dp_embeds(t1: OrderedTree, t2: OrderedTree) -> bool:
 
 
 def finishing_order(succ) -> list[int]:
-    """Every vertex in the order its depth-first search ends.
+    """Every vertex in the order its depth-first search over predecessors
+    ends.
 
     The search starts from the vertices in ascending order and visits
-    each vertex's successors in ascending order, recursing on one not yet
-    found; a vertex finishes once all its successors have been visited.
+    each vertex's predecessors, the vertices with an edge into it, in
+    ascending order, recursing on one not yet found; a vertex finishes
+    once all its predecessors have been visited.
     """
     found = [False] * len(succ)
     order: list[int] = []
 
     def visit(v: int) -> None:
         found[v] = True
-        for w in sorted(succ[v]):
-            if not found[w]:
-                visit(w)
+        for u in range(len(succ)):
+            if v in succ[u] and not found[u]:
+                visit(u)
         order.append(v)
 
     for v in range(len(succ)):

@@ -383,3 +383,14 @@ def test_predecessors():
     g = GameGraph([0, 1, 0], [1, 2, 1], [[1], [0, 2], [2]], d=2)
     assert g.preds == ((1,), (0,), (1, 2))
     assert g.edge_count == 4
+    # each predecessor once, ascending, whatever the successor lists hold
+    rng = random.Random(7)
+    for n in range(1, 40):
+        h = random_game(n, 6, (1, 4), seed=n)
+        lists = [list(s) for s in h.succ]
+        for s in lists:
+            rng.shuffle(s)
+        messy = GameGraph(h.owner, h.priority, [s + s[:2] for s in lists], d=h.d)
+        tidy = GameGraph(h.owner, h.priority, [sorted(s) for s in h.succ], d=h.d)
+        assert messy.preds == tidy.preds
+        assert all(list(p) == sorted(set(p)) for p in messy.preds)
