@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mod
+from operator import getitem, mod
 
 from .game import EVEN, ODD, GameError, GameGraph
 from .trees import subtree_sizes
@@ -38,6 +38,8 @@ WORKLIST_POLICIES = ("fifo", "lifo", "random")
 SLICE = 256
 # successor memo entries kept per cached tree
 MEMO_CAP = 4096
+# (priorities present, player) pairs whose `Measure` set-up is cached
+SETUP_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -68,13 +70,13 @@ class SolveResult:
     measure: "Measure"   # final labelling, for inspection and tests
 
 
-def live_levels(g: GameGraph, player: int) -> list[int]:
-    """Distinct opponent-parity priorities present in g, ascending: the
+def live_levels(priorities, player: int) -> list[int]:
+    """Distinct opponent-parity values of ``priorities``, ascending: the
     live levels of player's measure, one tree level each.  An absent
     priority would add a comparison level that nothing ever resets,
     skewing the labelling; with every one present there are d/2."""
     opp_parity = 1 if player == EVEN else 0
-    return sorted({p for p in g.priority if p % 2 == opp_parity})
+    return sorted({p for p in priorities if p % 2 == opp_parity})
 
 
 class LeafRanks:
@@ -102,6 +104,8 @@ class LeafRanks:
     every run over the tree, filled by `Measure.set`, with at most
     MEMO_CAP entries in all (``entries``): the 256 trees `leaf_ranks`
     caches hold at most 256 * MEMO_CAP however many games are solved.
+    The `Measure` set-up cache (`_setup`) keeps no tree, so no tree that
+    `leaf_ranks` has dropped outlives the measures over it.
     """
 
     __slots__ = ("size", "height", "width", "_levels", "memo", "entries")
@@ -165,6 +169,20 @@ def leaf_ranks(size: int, height: int) -> LeafRanks:
     return LeafRanks(size, height)
 
 
+@lru_cache(maxsize=SETUP_CAP)
+def _setup(present: frozenset, player: int) -> tuple[int, dict, dict]:
+    """What a `Measure` of player's needs of the priorities ``present``:
+    its tree height and, per priority, the prefix length k and strictness
+    of a vertex of that priority.  None of it depends on the tree size, so
+    an entry holds no tree."""
+    levels = live_levels(present, player)
+    opp_parity = 1 if player == EVEN else 0
+    # k(p) = number of live levels with priority >= p
+    k = {p: len(levels) - bisect_left(levels, p) for p in present}
+    strict = {p: p % 2 == opp_parity for p in present}
+    return max(len(levels), 1), k, strict
+
+
 class Measure:
     """Per-vertex leaf ranks plus the fixed context of one lifting run.
 
@@ -179,26 +197,37 @@ class Measure:
     mu(w) at w's prefix length, so at most one fresh branch circulates per
     opponent-parity vertex.  It also makes the least value an edge into w
     admits depend on w alone: ``target[w]``, which `set` keeps in step.
+
+    A vertex's ``k``, ``strict``, first target and memo row (``rows``)
+    depend only on its priority, the priorities present, the player and,
+    for the row, the tree.  `_setup` caches what they need per
+    (priorities present, player), up to SETUP_CAP pairs, so a run reads
+    them through C-level maps over ``g.priority``; ``present`` spares
+    that set to a caller that has it.  The set-up cache holds no tree:
+    the tree comes from `leaf_ranks` on every run, so the memo bound of
+    `LeafRanks` stands.
     """
 
     __slots__ = ("values", "target", "rows", "player", "ranks", "top", "k", "strict")
 
-    def __init__(self, g: GameGraph, player: int, size: int):
-        levels = live_levels(g, player)
-        opp_parity = 1 if player == EVEN else 0
+    def __init__(self, g: GameGraph, player: int, size: int, present: frozenset | None = None):
+        if present is None:
+            present = frozenset(g.priority)
+        height, k, strict = _setup(present, player)
+        priority = g.priority
         self.values = [0] * g.n
         self.player = player
-        self.ranks = leaf_ranks(size, max(len(levels), 1))
+        self.ranks = leaf_ranks(size, height)
         self.top = self.ranks.width
-        # k(p) = number of live levels with priority >= p
-        self.k = [len(levels) - bisect_left(levels, p) for p in g.priority]
-        self.strict = tuple(p % 2 == opp_parity for p in g.priority)
+        self.k = list(map(k.__getitem__, priority))
+        self.strict = tuple(map(strict.__getitem__, priority))
         # every value starts at the least leaf 0, the root's stop branch,
         # a block of its own at every depth k >= 1: an edge into a vertex
-        # at 0 admits 0, or strictly 1 (TOP at k = 0)
-        self.target = [(1 if k else self.top) if s else 0 for k, s in zip(self.k, self.strict)]
-        memo = self.ranks.memo
-        self.rows = [memo[k][s] for k, s in zip(self.k, self.strict)]
+        # at 0 admits 0, or strictly 1, a strict vertex's priority being a
+        # live level, so that its k >= 1
+        self.target = list(map(int, self.strict))
+        # rows[v] = ranks.memo[k[v]][strict[v]]
+        self.rows = list(map(getitem, map(self.ranks.memo.__getitem__, self.k), self.strict))
 
     def fresh_target(self, w: int) -> int:
         """Least value an edge into w admits, computed from ``values[w]``.
@@ -467,17 +496,19 @@ def _decompose(
     Both players' attractors of all that is decided are removed, so what
     stays undecided of a component is a subgame in which every vertex
     keeps a successor, and none can move into a vertex its owner has won.
-    ``unwon[p][u]`` counts u's distinct successors that p has not won.  A
-    one-level subgame goes to `_buchi`, as a one-level game goes whole
-    from `solve`.  Any other is built as a game of its own with only its
-    inner edges (a dropped edge enters a vertex won by the opponent of its
-    source's owner, so it never decides a lift) and decided in rounds s =
-    1, 2, 4, ...: each side, the subgame's measured player first, lifts a
-    fresh measure over the tree of size min(s, its own size) and wins what
-    stays below TOP, and at its own size loses the rest.  A measure into
-    any ordered tree is sound, one into the own-size tree is complete, and
-    most games need far less (the bounded dominions of Jurdzinski,
-    Paterson and Zwick, SODA 2006, and Schewe, FSTTCS 2007).
+    ``unwon[p][u]`` counts u's distinct successors that p has not won.  So
+    a lone undecided vertex has a self-loop, since its other successors
+    are decided and attraction left it, and its priority's parity wins it.
+    A larger one-level subgame goes to `_buchi`, as a one-level game goes
+    whole from `solve`.  Any other is built as a game of its own with only
+    its inner edges (a dropped edge enters a vertex won by the opponent of
+    its source's owner, so it never decides a lift) and decided in rounds
+    s = 1, 2, 4, ...: each side, the subgame's measured player first,
+    lifts a fresh measure over the tree of size min(s, its own size) and
+    wins what stays below TOP, and at its own size loses the rest.  A
+    measure into any ordered tree is sound, one into the own-size tree is
+    complete, and most games need far less (the bounded dominions of
+    Jurdzinski, Paterson and Zwick, SODA 2006, and Schewe, FSTTCS 2007).
     """
     owner, succ, priority = g.owner, g.succ, g.priority
     undecided = set(range(g.n))
@@ -499,7 +530,12 @@ def _decompose(
         subgames += len(sub) > 1
         s = 1
         while sub:
-            present = {priority[v] for v in sub}
+            if len(sub) == 1:
+                v = sub[0]  # on its self-loop: its priority's parity wins it
+                winner[v] = priority[v] % 2
+                attract(sub)
+                break
+            present = frozenset(map(priority.__getitem__, sub))
             if len(present) == len({p % 2 for p in present}):
                 b = max(present)
                 _buchi(g, set(sub), b, sum(priority[v] == b for v in sub), winner)
@@ -509,7 +545,7 @@ def _decompose(
             inner = [[index[w] for w in succ[v] if w in index] for v in sub]
             h = GameGraph([owner[v] for v in sub], [priority[v] for v in sub], inner, d=g.d)
             for p, size in _sides(h, full_tree)[0]:
-                m = Measure(h, p, min(s, size))
+                m = Measure(h, p, min(s, size), present)
                 _worklist(h, m, [range(h.n)], policy, seed, tally)  # h as one component
                 largest = max(largest, m.ranks.size)
                 for v, value in zip(sub, m.values):
@@ -542,12 +578,12 @@ def solve(
     the measured player's least fixpoint over its tree (module
     docstring), and the lift and change counts add up every run.
     """
+    present = frozenset(g.priority)
     [(player, size), _], eta = _sides(g, full_tree)
-    mu = Measure(g, player, size)
+    mu = Measure(g, player, size, present)
     tally = [0, 0]
     subgames = round_size = 0
     winner = None
-    present = set(g.priority)
     if len(present) == len({p % 2 for p in present}):
         # one level: the Buchi loop decides it whole; LIFO lifts the first decided first
         winner = [-1] * g.n

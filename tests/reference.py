@@ -13,16 +13,21 @@ dynamic program, where `trees.embeds` matches children greedily;
 `with_stop_branches` builds the padded tree whose leaves
 `solver.LeafRanks` numbers without building it; `leaf_paths` lists a
 tree's leaves; `finishing_order` is the depth-first search over
-predecessors whose order `solver._components` lists each component in.
+predecessors whose order `solver._components` lists each component in;
+`measure_setup` builds a `solver.Measure`'s per-vertex lookups vertex by
+vertex, where the solver reads them from a cache keyed by the priorities
+present.
 All of them recurse once or twice per level, so they suit the shallow
 trees and small games of the tests only.
 """
 
 import re
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterator
 
-from pgtrees.game import GameGraph, ParseError, normalize_priorities
+from pgtrees import solver
+from pgtrees.game import EVEN, GameGraph, ParseError, normalize_priorities
 from pgtrees.trees import OrderedTree
 
 # One vertex record: id, priority, owner, comma separated successors and an
@@ -250,3 +255,23 @@ def finishing_order(succ) -> list[int]:
         if not found[v]:
             visit(v)
     return order
+
+
+def measure_setup(g: GameGraph, player: int, size: int) -> tuple:
+    """A `solver.Measure`'s ``(k, strict, target, rows)`` for player over
+    the tree of this size, one comprehension each.
+
+    The live levels are the distinct priorities of the opponent's parity;
+    a vertex's prefix length k counts those at or above its priority, and
+    its edges are strict at the opponent's parity.  An edge into a vertex
+    at the least leaf 0 admits 0, or strictly 1, or TOP at k = 0.  Its
+    memo row is that of its (k, strict) in ``leaf_ranks(size, height)``.
+    """
+    opp_parity = 1 if player == EVEN else 0
+    levels = sorted({p for p in g.priority if p % 2 == opp_parity})
+    ranks = solver.leaf_ranks(size, max(len(levels), 1))
+    k = [len(levels) - bisect_left(levels, p) for p in g.priority]
+    strict = tuple(p % 2 == opp_parity for p in g.priority)
+    target = [(1 if kv else ranks.width) if s else 0 for kv, s in zip(k, strict)]
+    rows = [ranks.memo[kv][s] for kv, s in zip(k, strict)]
+    return k, strict, target, rows

@@ -1,5 +1,7 @@
 """Lifting solver against its two independent reference solvers."""
 
+import functools
+import gc
 import itertools
 import random
 from bisect import bisect_left
@@ -10,6 +12,7 @@ from pgtrees import solver
 from pgtrees.game import EVEN, ODD, GameError, GameGraph, parse_pgsolver, random_game
 from pgtrees.solver import (
     MEMO_CAP,
+    SETUP_CAP,
     SLICE,
     WORKLIST_POLICIES,
     LeafRanks,
@@ -27,7 +30,7 @@ from pgtrees.solver import (
     zielonka,
 )
 from pgtrees.trees import leaf_count, universal_tree
-from reference import finishing_order, leaf_paths, with_stop_branches
+from reference import finishing_order, leaf_paths, measure_setup, with_stop_branches
 
 
 def seeded_games(count, n_range, d_choices, seed):
@@ -59,7 +62,7 @@ def test_tree_height_is_live_level_count():
     missing = 0
     for g in seeded_games(200, (1, 8), (4, 6, 8), seed=37):
         r = solve(g)
-        levels = live_levels(g, r.stats.player)
+        levels = live_levels(g.priority, r.stats.player)
         missing += len(levels) < g.d // 2
         height = max(len(levels), 1)
         padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
@@ -74,8 +77,8 @@ def test_measure_k_odd_measure():
 
 def test_live_levels():
     g = GameGraph([0] * 4, [1, 2, 2, 6], [[0]] * 4, d=6)
-    assert live_levels(g, EVEN) == [1]
-    assert live_levels(g, ODD) == [2, 6]
+    assert live_levels(g.priority, EVEN) == [1]
+    assert live_levels(g.priority, ODD) == [2, 6]
 
 
 # -- leaf ranks of the padded universal tree ---------------------------------
@@ -212,6 +215,45 @@ def test_memo_stays_within_its_cap(monkeypatch):
     assert mu.ranks.entries == MEMO_CAP
     assert sum(len(row) for rows in mu.ranks.memo for row in rows) == MEMO_CAP
     assert mu.target == [mu.fresh_target(w) for w in range(g.n)]
+
+
+def test_setup_cache_holds_no_tree():
+    # 300 priority sets, each measured over a tree of its own: if a set-up
+    # entry held its tree, more trees than the 256 leaf_ranks keeps would
+    # stay alive, each with up to MEMO_CAP memo entries
+    for j in range(300):
+        g = GameGraph([EVEN, ODD], [1, 2 * j + 2], [[0], [1]], d=2 * j + 2)
+        Measure(g, EVEN, j + 1)
+    gc.collect()
+    alive = sum(isinstance(obj, LeafRanks) for obj in gc.get_objects())
+    assert alive <= leaf_ranks.cache_info().maxsize == 256
+
+
+def test_setup_cache_matches_the_per_vertex_definition(monkeypatch):
+    # a fresh cache, so that its hits and misses are this test's own: each
+    # game's first measure may miss, the two after it reuse a priority set
+    # already seen; the sizes cycle through more trees than leaf_ranks
+    # keeps, so some measures read rows of trees it has since rebuilt
+    setup = functools.lru_cache(maxsize=SETUP_CAP)(solver._setup.__wrapped__)
+    monkeypatch.setattr(solver, "_setup", setup)
+    games = list(seeded_games(200, (1, 12), (2, 4, 6, 8, 16), seed=61))
+    hits, trees = [], set()
+    for i, g in enumerate(games):
+        eta = min(sum(p % 2 for p in g.priority), sum(1 - p % 2 for p in g.priority))
+        for player in (EVEN, ODD):
+            for h, size in ((g, max(eta, 1)), (games[i // 2], 1 + 37 * i % 293), (g, g.n)):
+                before = setup.cache_info().hits
+                mu = Measure(h, player, size)
+                hits.append(setup.cache_info().hits > before)
+                k, strict, target, rows = measure_setup(h, player, size)
+                assert (mu.k, mu.strict, mu.target) == (k, strict, target)
+                assert mu.ranks is leaf_ranks(size, mu.ranks.height)
+                assert len(mu.rows) == len(rows) == h.n
+                assert all(a is b for a, b in zip(mu.rows, rows))
+                trees.add((size, mu.ranks.height))
+    switches = sum(a != b for a, b in zip(hits, hits[1:]))
+    assert switches >= 300 and hits.count(False) >= 150
+    assert len(trees) > 256
 
 
 def test_vertex_consistent_does_not_read_the_memo(monkeypatch):
@@ -630,6 +672,34 @@ def test_rounds_keep_the_measured_fixpoint(monkeypatch):
     assert any(size & (size - 1) for size, _ in sizes)
 
 
+def test_lone_vertices_are_decided_without_the_buchi_loop(monkeypatch):
+    # a vertex left alone in its component by attraction is on a
+    # self-loop, so _decompose gives it to its priority's parity; with a
+    # self-loop on every vertex, hundreds of such vertices arise.  Nothing
+    # is lifted for them, so the lift counts are those of the Buchi loop
+    buchi = record_buchi(monkeypatch)
+    decided = record_decompose(monkeypatch)
+    games = list(seeded_games(40, (20, 150), (4, 6, 8), seed=41))
+    looped = [
+        GameGraph(g.owner, g.priority, [[*s, v] for v, s in enumerate(g.succ)], d=g.d)
+        for g in games
+    ]
+    lifts = {}
+    for name, batch in (("plain", games), ("looped", looped)):
+        for g in batch:
+            regions = zielonka(g)
+            for policy in WORKLIST_POLICIES:
+                r = solve(g, worklist=policy, seed=1)
+                assert r.regions == regions
+                lifts[name, policy] = lifts.get((name, policy), 0) + r.stats.lifts
+    assert len(decided) >= 150
+    assert all(len(winners) > 1 for winners in buchi)
+    assert lifts == {
+        ("plain", "fifo"): 18506, ("plain", "lifo"): 12185, ("plain", "random"): 15695,
+        ("looped", "fifo"): 19444, ("looped", "lifo"): 16812, ("looped", "random"): 18270,
+    }
+
+
 def test_rounds_decide_a_large_game_on_small_trees():
     # the eta tree is 28.8 million leaves wide, yet every round of the one
     # subgame stays at size 2 or below
@@ -929,7 +999,7 @@ def test_stats_fields():
     assert r.stats.player in (EVEN, ODD)
     assert r.stats.eta == min(odd, g.n - odd)
     assert r.stats.tree_width == r.measure.ranks.width == r.measure.top
-    height = max(len(live_levels(g, r.stats.player)), 1)
+    height = max(len(live_levels(g.priority, r.stats.player)), 1)
     padded = with_stop_branches(universal_tree(max(r.stats.eta, 1), height))
     assert r.stats.tree_width == leaf_count(padded)
     assert r.stats.changes <= r.stats.lifts
