@@ -202,18 +202,15 @@ class Measure:
     depend only on its priority, the priorities present, the player and,
     for the row, the tree.  `_setup` caches what they need per
     (priorities present, player), up to SETUP_CAP pairs, so a run reads
-    them through C-level maps over ``g.priority``; ``present`` spares
-    that set to a caller that has it.  The set-up cache holds no tree:
-    the tree comes from `leaf_ranks` on every run, so the memo bound of
-    `LeafRanks` stands.
+    them through C-level maps over ``g.priority``.  The set-up cache
+    holds no tree: the tree comes from `leaf_ranks` on every run, so the
+    memo bound of `LeafRanks` stands.
     """
 
     __slots__ = ("values", "target", "rows", "player", "ranks", "top", "k", "strict")
 
-    def __init__(self, g: GameGraph, player: int, size: int, present: frozenset | None = None):
-        if present is None:
-            present = frozenset(g.priority)
-        height, k, strict = _setup(present, player)
+    def __init__(self, g: GameGraph, player: int, size: int):
+        height, k, strict = _setup(frozenset(g.priority), player)
         priority = g.priority
         self.values = [0] * g.n
         self.player = player
@@ -496,19 +493,17 @@ def _decompose(
     Both players' attractors of all that is decided are removed, so what
     stays undecided of a component is a subgame in which every vertex
     keeps a successor, and none can move into a vertex its owner has won.
-    ``unwon[p][u]`` counts u's distinct successors that p has not won.  So
-    a lone undecided vertex has a self-loop, since its other successors
-    are decided and attraction left it, and its priority's parity wins it.
-    A larger one-level subgame goes to `_buchi`, as a one-level game goes
-    whole from `solve`.  Any other is built as a game of its own with only
-    its inner edges (a dropped edge enters a vertex won by the opponent of
-    its source's owner, so it never decides a lift) and decided in rounds
-    s = 1, 2, 4, ...: each side, the subgame's measured player first,
-    lifts a fresh measure over the tree of size min(s, its own size) and
-    wins what stays below TOP, and at its own size loses the rest.  A
-    measure into any ordered tree is sound, one into the own-size tree is
-    complete, and most games need far less (the bounded dominions of
-    Jurdzinski, Paterson and Zwick, SODA 2006, and Schewe, FSTTCS 2007).
+    ``unwon[p][u]`` counts u's distinct successors that p has not won.  A
+    one-level subgame goes to `_buchi`, as a one-level game goes whole
+    from `solve`.  Any other is built as a game of its own with only its
+    inner edges (a dropped edge enters a vertex won by the opponent of its
+    source's owner, so it never decides a lift) and decided in rounds s =
+    1, 2, 4, ...: each side, the subgame's measured player first, lifts a
+    fresh measure over the tree of size min(s, its own size) and wins what
+    stays below TOP, and at its own size loses the rest.  A measure into
+    any ordered tree is sound, one into the own-size tree is complete, and
+    most games need far less (the bounded dominions of Jurdzinski,
+    Paterson and Zwick, SODA 2006, and Schewe, FSTTCS 2007).
     """
     owner, succ, priority = g.owner, g.succ, g.priority
     undecided = set(range(g.n))
@@ -530,12 +525,7 @@ def _decompose(
         subgames += len(sub) > 1
         s = 1
         while sub:
-            if len(sub) == 1:
-                v = sub[0]  # on its self-loop: its priority's parity wins it
-                winner[v] = priority[v] % 2
-                attract(sub)
-                break
-            present = frozenset(map(priority.__getitem__, sub))
+            present = {priority[v] for v in sub}
             if len(present) == len({p % 2 for p in present}):
                 b = max(present)
                 _buchi(g, set(sub), b, sum(priority[v] == b for v in sub), winner)
@@ -545,7 +535,7 @@ def _decompose(
             inner = [[index[w] for w in succ[v] if w in index] for v in sub]
             h = GameGraph([owner[v] for v in sub], [priority[v] for v in sub], inner, d=g.d)
             for p, size in _sides(h, full_tree)[0]:
-                m = Measure(h, p, min(s, size), present)
+                m = Measure(h, p, min(s, size))
                 _worklist(h, m, [range(h.n)], policy, seed, tally)  # h as one component
                 largest = max(largest, m.ranks.size)
                 for v, value in zip(sub, m.values):
@@ -578,12 +568,12 @@ def solve(
     the measured player's least fixpoint over its tree (module
     docstring), and the lift and change counts add up every run.
     """
-    present = frozenset(g.priority)
     [(player, size), _], eta = _sides(g, full_tree)
-    mu = Measure(g, player, size, present)
+    mu = Measure(g, player, size)
     tally = [0, 0]
     subgames = round_size = 0
     winner = None
+    present = set(g.priority)
     if len(present) == len({p % 2 for p in present}):
         # one level: the Buchi loop decides it whole; LIFO lifts the first decided first
         winner = [-1] * g.n

@@ -1,7 +1,6 @@
 """Lifting solver against its two independent reference solvers."""
 
 import functools
-import gc
 import itertools
 import random
 from bisect import bisect_left
@@ -217,16 +216,29 @@ def test_memo_stays_within_its_cap(monkeypatch):
     assert mu.target == [mu.fresh_target(w) for w in range(g.n)]
 
 
-def test_setup_cache_holds_no_tree():
-    # 300 priority sets, each measured over a tree of its own: if a set-up
-    # entry held its tree, more trees than the 256 leaf_ranks keeps would
-    # stay alive, each with up to MEMO_CAP memo entries
+def test_setup_cache_holds_no_tree(monkeypatch):
+    # 300 priority sets, each measured over a tree of its own: every cached
+    # set-up holds only ints and bools, so the set-up cache keeps no tree
+    # alive beyond the 256 trees leaf_ranks caches, nor their memo entries
+    setup = functools.lru_cache(maxsize=SETUP_CAP)(solver._setup.__wrapped__)
+    monkeypatch.setattr(solver, "_setup", setup)
+    keys = []
     for j in range(300):
         g = GameGraph([EVEN, ODD], [1, 2 * j + 2], [[0], [1]], d=2 * j + 2)
         Measure(g, EVEN, j + 1)
-    gc.collect()
-    alive = sum(isinstance(obj, LeafRanks) for obj in gc.get_objects())
-    assert alive <= leaf_ranks.cache_info().maxsize == 256
+        keys.append((frozenset(g.priority), EVEN))
+    assert setup.cache_info().currsize == 300
+    cached = [setup(*key) for key in keys]
+    assert setup.cache_info().hits == 300
+    stack = [*keys, *cached]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, dict):
+            stack.extend(obj.items())
+        elif isinstance(obj, (tuple, frozenset)):
+            stack.extend(obj)
+        else:
+            assert type(obj) in (int, bool)
 
 
 def test_setup_cache_matches_the_per_vertex_definition(monkeypatch):
@@ -670,34 +682,6 @@ def test_rounds_keep_the_measured_fixpoint(monkeypatch):
     # a round over min(s, size_p) leaves is a power of two unless s >= size_p,
     # so some round was ended by a side over its exact tree
     assert any(size & (size - 1) for size, _ in sizes)
-
-
-def test_lone_vertices_are_decided_without_the_buchi_loop(monkeypatch):
-    # a vertex left alone in its component by attraction is on a
-    # self-loop, so _decompose gives it to its priority's parity; with a
-    # self-loop on every vertex, hundreds of such vertices arise.  Nothing
-    # is lifted for them, so the lift counts are those of the Buchi loop
-    buchi = record_buchi(monkeypatch)
-    decided = record_decompose(monkeypatch)
-    games = list(seeded_games(40, (20, 150), (4, 6, 8), seed=41))
-    looped = [
-        GameGraph(g.owner, g.priority, [[*s, v] for v, s in enumerate(g.succ)], d=g.d)
-        for g in games
-    ]
-    lifts = {}
-    for name, batch in (("plain", games), ("looped", looped)):
-        for g in batch:
-            regions = zielonka(g)
-            for policy in WORKLIST_POLICIES:
-                r = solve(g, worklist=policy, seed=1)
-                assert r.regions == regions
-                lifts[name, policy] = lifts.get((name, policy), 0) + r.stats.lifts
-    assert len(decided) >= 150
-    assert all(len(winners) > 1 for winners in buchi)
-    assert lifts == {
-        ("plain", "fifo"): 18506, ("plain", "lifo"): 12185, ("plain", "random"): 15695,
-        ("looped", "fifo"): 19444, ("looped", "lifo"): 16812, ("looped", "random"): 18270,
-    }
 
 
 def test_rounds_decide_a_large_game_on_small_trees():
