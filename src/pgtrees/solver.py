@@ -418,10 +418,11 @@ def _sides(g: GameGraph, full_tree: bool) -> tuple[list[tuple[int, int]], int]:
     at least 1, or by n under ``full_tree``; the measured player has the
     smaller count, eta, and ties go to Even."""
     odd = sum(map(mod, g.priority, itertools.repeat(2)))  # counted in C, no bytecode per vertex
-    sides = [(EVEN, odd), (ODD, g.n - odd)]
-    if odd > g.n - odd:
-        sides.reverse()
-    return [(p, g.n if full_tree else max(size, 1)) for p, size in sides], sides[0][1]
+    even = g.n - odd
+    size_even, size_odd = (g.n, g.n) if full_tree else (max(odd, 1), max(even, 1))
+    if odd <= even:
+        return [(EVEN, size_even), (ODD, size_odd)], odd
+    return [(ODD, size_odd), (EVEN, size_even)], even
 
 
 def _attractor(g: GameGraph, attr: list, player: int, live: set, left: dict, within) -> list:

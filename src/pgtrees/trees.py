@@ -12,10 +12,8 @@ tree of height h and width at most n embeds; its width is exactly
 checking constructor: a node's children come from the list one height
 below, and its width is its row's running width.  `embeds` matches
 children greedily, leftmost first; neither recurses.
-Its memo holds, per pair of subtrees, whether one embeds in the other,
-and per child of a candidate, that child's greedy steps over the
-target's root children, so a check places each candidate's root
-children with one lookup each.
+Its memo holds, per pair of subtrees below the root pair, whether one
+embeds in the other.
 Trees compare by identity; their shapes compare by `to_text()`, which
 `from_text` reads back in one pass.
 """
@@ -197,20 +195,12 @@ def embeds(t1: OrderedTree, t2: OrderedTree, decided: dict | None = None) -> boo
     decides it: each child of u goes to the leftmost remaining child of v
     that it fits, since any valid placement shifts left onto that one.
 
-    ``decided`` is a memo the call reads and extends.  ``decided[v][u]``
+    ``decided`` is a memo the call reads and extends: ``decided[v][u]``
     says whether subtree u embeds into subtree v of the same height, for
-    every pair below the root pair.  ``decided[t2][a]``, for a child a of
-    t1, lists a's greedy steps over t2's children: entry j is the
-    position just after the leftmost child at or after j that a fits,
-    ``len(t2.children) + 1`` if none does, or None while unknown.  Calls
-    that share t2 and build t1 from shared subtrees, as the candidates of
-    one check do, then place t1's children with one lookup each.  Below
-    the root each pair is decided once per memo anyway, and steps there
-    would about double the memo of a deep check.  One dict passed to
-    many calls decides each pair of subtrees and each step once across
-    them all.  It holds its trees alive, so share it only among calls
-    whose trees share subtrees.  The root pair (t1, t2) is never stored,
-    so t1 can be freed after the call.
+    every pair below the root pair.  One dict passed to many calls decides
+    each pair once across them all.  It holds its trees alive, so share it
+    only among calls whose trees share subtrees.  The root pair (t1, t2)
+    is never stored, so t1 can be freed after the call.
     """
     if t1.height != t2.height:
         raise ValueError(f"height mismatch: {t1.height} vs {t2.height}")
@@ -218,32 +208,16 @@ def embeds(t1: OrderedTree, t2: OrderedTree, decided: dict | None = None) -> boo
         return t1.width <= t2.width
     if decided is None:
         decided = {}
-    row = decided.get(t2)
-    if row is None:
-        decided[t2] = row = {}
-    vs = t2.children
-    m = len(vs)
-    j = 0
+    rest = iter(t2.children)
     for a in t1.children:
-        steps = row.get(a)
-        if steps is None:
-            row[a] = steps = [None] * m + [m + 1]
-        step = steps[j]
-        if step is None:
-            p = j
-            while (step := steps[p]) is None:  # steps[m] ends the scan
-                b = vs[p]
-                p += 1
-                fits = a.width <= b.width and (a.height == 1 or decided.get(b, _NO_ROW).get(a))
-                if fits is None:
-                    fits = _fits(a, b, decided)
-                if fits:
-                    step = p
-                    break
-            steps[j:p] = [step] * (p - j)
-        if step > m:
+        for b in rest:
+            fits = a.width <= b.width and (a.height == 1 or decided.get(b, _NO_ROW).get(a))
+            if fits is None:
+                fits = _fits(a, b, decided)
+            if fits:
+                break
+        else:
             return False
-        j = step
     return True
 
 
@@ -281,9 +255,7 @@ def find_counterexample(t: OrderedTree, n: int) -> OrderedTree | None:
 
     Every candidate is built from the same shared lower-height subtrees,
     so one `embeds` memo serves the whole check: each pair of a candidate
-    subtree and a subtree of t, and each greedy step of a candidate's
-    root child over t's root children, is decided once, not once per
-    candidate.
+    subtree and a subtree of t is decided once, not once per candidate.
     """
     return _search(t, n)[0]
 

@@ -266,6 +266,18 @@ def test_embeds_memo_reused_across_calls():
     # the root pair is never stored, so a memo does not keep a checked tree alive
     roots = {t for level in trees for t in level}
     assert not any(roots & row.keys() for row in decided.values())
+    # a wide root at height 3: one memo for every candidate of a check, as
+    # find_counterexample shares it; it holds one bool per pair and no roots
+    target = universal_tree(8, 3)
+    candidates = list(enumerate_trees(3, 9))
+    decided = {}
+    verdicts = [embeds(s, target, decided) for s in candidates]
+    assert (len(candidates), verdicts.count(False)) == (9841, 386)
+    for s, verdict in zip(candidates[::7], verdicts[::7]):
+        assert verdict == dp_embeds(s, target), s
+    assert all(type(fits) is bool for row in decided.values() for fits in row.values())
+    roots = {target, *candidates}
+    assert not any(roots & row.keys() for row in decided.values())
 
 
 def test_find_counterexample_calls_embeds_once_per_candidate(monkeypatch):
