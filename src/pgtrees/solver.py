@@ -500,11 +500,18 @@ def _decompose(
     inner edges (a dropped edge enters a vertex won by the opponent of its
     source's owner, so it never decides a lift) and decided in rounds s =
     1, 2, 4, ...: each side, the subgame's measured player first, lifts a
-    fresh measure over the tree of size min(s, its own size) and wins what
-    stays below TOP, and at its own size loses the rest.  A measure into
-    any ordered tree is sound, one into the own-size tree is complete, and
+    measure over the tree of size min(s, its own size) and wins what stays
+    below TOP, and at its own size loses the rest.  A measure into any
+    ordered tree is sound, one into the own-size tree is complete, and
     most games need far less (the bounded dominions of Jurdzinski,
     Paterson and Zwick, SODA 2006, and Schewe, FSTTCS 2007).
+
+    Each side's decisions are attracted as soon as it has run, and the
+    second side starts from them: what the first side and its attractor
+    won is at TOP in the second side's least fixpoint, by soundness, so it
+    starts there and never climbs.  Every vertex is handed to `attract`
+    once; a second time would lower the ``unwon`` counts twice, so it
+    raises AssertionError.
     """
     owner, succ, priority = g.owner, g.succ, g.priority
     undecided = set(range(g.n))
@@ -513,7 +520,10 @@ def _decompose(
     subgames = largest = 0
 
     def attract(decided: list) -> None:
-        # both players' attractors of the decided vertices
+        # both players' attractors of the newly decided vertices; one passed
+        # twice would lower the unwon counts twice and attract wrongly
+        if not undecided.issuperset(decided):
+            raise AssertionError("a vertex was decided twice")
         undecided.difference_update(decided)
         for p in (EVEN, ODD):
             won = [v for v in decided if winner[v] == p]
@@ -537,17 +547,23 @@ def _decompose(
             h = GameGraph([owner[v] for v in sub], [priority[v] for v in sub], inner, d=g.d)
             for p, size in _sides(h, full_tree)[0]:
                 m = Measure(h, p, min(s, size))
+                top = m.top
+                # what the other side won is at TOP in p's least fixpoint
+                for j, v in enumerate(sub):
+                    if winner[v] >= 0:
+                        m.values[j] = m.target[j] = top  # `set` at TOP
                 _worklist(h, m, [range(h.n)], policy, seed, tally)  # h as one component
                 largest = max(largest, m.ranks.size)
+                decided = []
                 for v, value in zip(sub, m.values):
-                    if value != m.top:
-                        winner[v] = p
-                    elif s >= size:  # an exact tree: p loses the rest
-                        winner[v] = 1 - p
+                    if winner[v] < 0 and (value != top or s >= size):
+                        # at an exact tree p loses the rest
+                        winner[v] = p if value != top else 1 - p
+                        decided.append(v)
+                attract(decided)
                 if all(winner[v] >= 0 for v in sub):
                     break
             s *= 2
-            attract([v for v in sub if winner[v] >= 0])
             sub = [v for v in sub if winner[v] < 0]
     return winner, subgames, largest
 
