@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import getitem, mod
+from operator import mod
 
 from .game import EVEN, ODD, GameError, GameGraph
 from .trees import subtree_sizes
@@ -40,6 +40,8 @@ SLICE = 256
 MEMO_CAP = 4096
 # (priorities present, player) pairs whose `Measure` set-up is cached
 SETUP_CAP = 1024
+# Even's positional strategies `brute_force_solve` may enumerate
+MAX_STRATEGIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,10 @@ class LeafRanks:
     children's start offsets followed by its width, and their sizes, so a
     rank's block takes one bisection per level.
 
-    ``memo[k][strict]`` maps a rank r to ``successor(r, k, strict)`` for
-    every run over the tree, filled by `Measure.set`, with at most
-    MEMO_CAP entries in all (``entries``): the 256 trees `leaf_ranks`
+    ``memo[k][strict]``, strict 0 or 1, maps a rank r to ``successor(r,
+    k, strict)`` for every run over the tree.  A `Measure` holds the row of
+    each priority present (``rows``), and `Measure.set` fills it, with at
+    most MEMO_CAP entries in all (``entries``): the 256 trees `leaf_ranks`
     caches hold at most 256 * MEMO_CAP however many games are solved.
     The `Measure` set-up cache (`_setup`) keeps no tree, so no tree that
     `leaf_ranks` has dropped outlives the measures over it.
@@ -172,14 +175,14 @@ def leaf_ranks(size: int, height: int) -> LeafRanks:
 @lru_cache(maxsize=SETUP_CAP)
 def _setup(present: frozenset, player: int) -> tuple[int, dict, dict]:
     """What a `Measure` of player's needs of the priorities ``present``:
-    its tree height and, per priority, the prefix length k and strictness
-    of a vertex of that priority.  None of it depends on the tree size, so
-    an entry holds no tree."""
+    its tree height and, per priority p, the prefix length ``k[p]`` and
+    strictness ``strict[p]`` (1 at the opponent's parity, else 0) of an edge
+    into p.  None of it depends on the tree, so an entry holds none; solves only read it."""
     levels = live_levels(present, player)
     opp_parity = 1 if player == EVEN else 0
     # k(p) = number of live levels with priority >= p
     k = {p: len(levels) - bisect_left(levels, p) for p in present}
-    strict = {p: p % 2 == opp_parity for p in present}
+    strict = {p: int(p % 2 == opp_parity) for p in present}
     return max(len(levels), 1), k, strict
 
 
@@ -190,7 +193,7 @@ class Measure:
     game with none gets a tree whose width grows with its size.
     ``values[v]`` is a leaf rank or ``top`` (the width), starting at the
     least leaf 0.  A value must dominate each successor w's on the prefix
-    of length ``k[w]`` set by w's priority, strictly (``strict[w]``) at
+    of length ``k[p]`` set by w's priority p, strictly (``strict[p]``) at
     the opponent's parity.  Keying each edge by the vertex it enters, as
     the standard reduction to edge priorities does, gives the eta bound:
     every strict update over w computes the same least leaf strictly above
@@ -198,33 +201,31 @@ class Measure:
     opponent-parity vertex.  It also makes the least value an edge into w
     admits depend on w alone: ``target[w]``, which `set` keeps in step.
 
-    A vertex's ``k``, ``strict``, first target and memo row (``rows``)
-    depend only on its priority, the priorities present, the player and,
-    for the row, the tree.  `_setup` caches what they need per
-    (priorities present, player), up to SETUP_CAP pairs, so a run reads
-    them through C-level maps over ``g.priority``.  The set-up cache
-    holds no tree: the tree comes from `leaf_ranks` on every run, so the
-    memo bound of `LeafRanks` stands.
+    ``values`` and ``target`` are the only per-vertex state.  Prefix
+    length, strictness and memo row depend on a vertex's priority p alone
+    (``priority`` is the game's own sequence): ``k[p]`` and ``strict[p]``
+    come from `_setup`, cached per (priorities present, player) up to
+    SETUP_CAP pairs, and ``rows[p]`` is this run's memo row
+    ``ranks.memo[k[p]][strict[p]]``.  `_setup` holds no tree: the tree
+    comes from `leaf_ranks` on every run, so `LeafRanks`' memo bound stands.
     """
 
-    __slots__ = ("values", "target", "rows", "player", "ranks", "top", "k", "strict")
+    __slots__ = ("values", "target", "priority", "rows", "player", "ranks", "top", "k", "strict")
 
     def __init__(self, g: GameGraph, player: int, size: int):
         height, k, strict = _setup(frozenset(g.priority), player)
-        priority = g.priority
         self.values = [0] * g.n
+        self.priority = g.priority
         self.player = player
-        self.ranks = leaf_ranks(size, height)
-        self.top = self.ranks.width
-        self.k = list(map(k.__getitem__, priority))
-        self.strict = tuple(map(strict.__getitem__, priority))
+        self.ranks = ranks = leaf_ranks(size, height)
+        self.top = ranks.width
+        self.k, self.strict = k, strict
         # every value starts at the least leaf 0, the root's stop branch,
         # a block of its own at every depth k >= 1: an edge into a vertex
         # at 0 admits 0, or strictly 1, a strict vertex's priority being a
         # live level, so that its k >= 1
-        self.target = list(map(int, self.strict))
-        # rows[v] = ranks.memo[k[v]][strict[v]]
-        self.rows = list(map(getitem, map(self.ranks.memo.__getitem__, self.k), self.strict))
+        self.target = list(map(strict.__getitem__, g.priority))
+        self.rows = {p: ranks.memo[k[p]][strict[p]] for p in k}
 
     def fresh_target(self, w: int) -> int:
         """Least value an edge into w admits, computed from ``values[w]``.
@@ -235,17 +236,18 @@ class Measure:
         r = self.values[w]
         if r == self.top:
             return r
-        return self.ranks.successor(r, self.k[w], self.strict[w])
+        p = self.priority[w]
+        return self.ranks.successor(r, self.k[p], self.strict[p])
 
     def set(self, v: int, value: int) -> None:
         """Give v a new value and refresh its cached target.
 
-        The target is read from v's memo row of the tree (``rows[v]``,
-        ``ranks.memo[k[v]][strict[v]]``); a miss computes it and stores
-        it while the tree holds fewer than MEMO_CAP entries.
+        The target is read from the memo row of v's priority p
+        (``rows[p]``); a miss computes it and stores it while the tree
+        holds fewer than MEMO_CAP entries.
         """
         self.values[v] = value
-        row = self.rows[v]
+        row = self.rows[self.priority[v]]
         target = row.get(value)
         if target is None:
             target = self.fresh_target(v)
@@ -351,7 +353,7 @@ def _worklist(
 
     ``counts`` is ``[lifts, changes]`` and gains this run's share.
     """
-    preds = g.preds
+    preds, priority = g.preds, g.priority
     values, target, rows = mu.values, mu.target, mu.rows
     top = mu.top
     # a vertex waiting for its component's turn counts as queued, so no
@@ -395,7 +397,7 @@ def _worklist(
             if new != old:
                 if not old < new:
                     raise AssertionError("lift tried to decrease a value")
-                cached = rows[v].get(new)
+                cached = rows[priority[v]].get(new)
                 if cached is None:
                     mu.set(v, new)
                 else:  # `set`, inlined for a memo hit
@@ -590,11 +592,10 @@ def solve(
     tally = [0, 0]
     subgames = round_size = 0
     winner = None
-    present = set(g.priority)
-    if len(present) == len({p % 2 for p in present}):
+    if len(mu.k) == len({p % 2 for p in mu.k}):  # mu.k: keyed by the priorities present
         # one level: the Buchi loop decides it whole; LIFO lifts the first decided first
         winner = [-1] * g.n
-        b = max(present)
+        b = max(mu.k)
         rest = [_buchi(g, set(range(g.n)), b, g.priority.count(b), winner)[::-1]]
     else:
         components = _components(g)
@@ -726,22 +727,22 @@ def zielonka(g: GameGraph) -> WinningRegions:
     return WinningRegions(even=frozenset(_bits(won[EVEN])), odd=frozenset(_bits(won[ODD])))
 
 
-def brute_force_solve(g: GameGraph, max_strategies: int = 10**6) -> WinningRegions:
+def brute_force_solve(g: GameGraph) -> WinningRegions:
     """Enumerate Even's positional strategies; Even wins from v iff some
     strategy leaves no odd-dominated cycle reachable from v.
 
     Positional determinacy licenses both the enumeration and reading the
     Odd region as the complement.  Guarded: the product of Even-vertex
-    out-degrees must not exceed ``max_strategies``.
+    out-degrees must not exceed MAX_STRATEGIES.
     """
     n = g.n
     even_vertices = [v for v in range(n) if g.owner[v] == EVEN]
     total = 1
     for v in even_vertices:
         total *= len(g.succ[v])
-        if total > max_strategies:
+        if total > MAX_STRATEGIES:
             raise GameError(
-                f"too many positional strategies (> {max_strategies}); "
+                f"too many positional strategies (> {MAX_STRATEGIES}); "
                 "brute force is limited to small instances"
             )
     odd_priorities = sorted({p for p in g.priority if p % 2 == 1})
@@ -782,9 +783,8 @@ def brute_force_solve(g: GameGraph, max_strategies: int = 10**6) -> WinningRegio
                     bad.add(v)
                     grew = True
         even_wins.update(set(range(n)) - bad)
-    return WinningRegions(
-        even=frozenset(even_wins), odd=frozenset(range(n)) - frozenset(even_wins)
-    )
+    won = frozenset(even_wins)
+    return WinningRegions(even=won, odd=frozenset(range(n)) - won)
 
 
 def format_regions(regions: WinningRegions, stats: SolveStats | None = None) -> str:

@@ -14,9 +14,9 @@ dynamic program, where `trees.embeds` matches children greedily;
 `solver.LeafRanks` numbers without building it; `leaf_paths` lists a
 tree's leaves; `finishing_order` is the depth-first search over
 predecessors whose order `solver._components` lists each component in;
-`measure_setup` builds a `solver.Measure`'s per-vertex lookups vertex by
-vertex, where the solver reads them from a cache keyed by the priorities
-present.
+`measure_setup` builds a `solver.Measure`'s per-priority tables and first
+targets from the game's vertices, where the solver reads the tables from a
+cache keyed by the priorities present.
 All of them recurse once or twice per level, so they suit the shallow
 trees and small games of the tests only.
 """
@@ -259,7 +259,9 @@ def finishing_order(succ) -> list[int]:
 
 def measure_setup(g: GameGraph, player: int, size: int) -> tuple:
     """A `solver.Measure`'s ``(k, strict, target, rows)`` for player over
-    the tree of this size, one comprehension each.
+    the tree of this size: ``k``, ``strict`` and ``rows`` map each priority
+    present to a vertex's prefix length, strictness (0 or 1) and memo row,
+    ``target`` is the first target of each vertex.
 
     The live levels are the distinct priorities of the opponent's parity;
     a vertex's prefix length k counts those at or above its priority, and
@@ -270,8 +272,8 @@ def measure_setup(g: GameGraph, player: int, size: int) -> tuple:
     opp_parity = 1 if player == EVEN else 0
     levels = sorted({p for p in g.priority if p % 2 == opp_parity})
     ranks = solver.leaf_ranks(size, max(len(levels), 1))
-    k = [len(levels) - bisect_left(levels, p) for p in g.priority]
-    strict = tuple(p % 2 == opp_parity for p in g.priority)
-    target = [(1 if kv else ranks.width) if s else 0 for kv, s in zip(k, strict)]
-    rows = [ranks.memo[kv][s] for kv, s in zip(k, strict)]
+    k = {p: len(levels) - bisect_left(levels, p) for p in g.priority}
+    strict = {p: 1 if p % 2 == opp_parity else 0 for p in g.priority}
+    target = [(1 if k[p] else ranks.width) if strict[p] else 0 for p in g.priority]
+    rows = {p: ranks.memo[k[p]][strict[p]] for p in g.priority}
     return k, strict, target, rows

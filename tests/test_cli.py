@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pgtrees import cli
 from pgtrees.cli import main
 from pgtrees.game import EVEN, GameGraph, parse_pgsolver, random_game, serialize_pgsolver
 from pgtrees.solver import solve, zielonka
@@ -69,6 +70,21 @@ def test_solve_oracle_corpus(tmp_path, capsys):
         code, out, _ = run(["solve", "--oracle", str(path)], capsys)
         assert code == 0
         assert "oracle: regions agree" in out
+
+
+def test_solve_oracle_disagreement_exits_4(tmp_path, capsys, monkeypatch):
+    # an oracle that swaps the two regions disagrees with every solve
+    def swapped(g):
+        regions = zielonka(g)
+        return type(regions)(even=regions.odd, odd=regions.even)
+
+    monkeypatch.setattr(cli, "zielonka", swapped)
+    path = tmp_path / "game.pg"
+    path.write_text("parity 1;\n0 1 0 1;\n1 2 1 0;\n")
+    code, out, err = run(["solve", "--oracle", str(path)], capsys)
+    assert code == 4
+    assert out == "EVEN: 0 1\nODD:\n"
+    assert err == "error: oracle disagreement\n"
 
 
 def test_solve_oracle_deep_priority(tmp_path, capsys):

@@ -270,6 +270,10 @@ def test_normalize_priorities_examples():
     assert normalize_priorities([0, 1]) == ([2, 3], 4)
     assert normalize_priorities([1, 2]) == ([1, 2], 2)
     assert normalize_priorities([3, 5]) == ([1, 3], 4)
+    with pytest.raises(GameError, match="empty priority list"):
+        normalize_priorities([])
+    with pytest.raises(GameError, match="nonnegative"):
+        normalize_priorities([3, -1, 2])
 
 
 def test_normalize_priorities_shifts_only_when_needed():
@@ -354,6 +358,19 @@ def test_random_game_clamps_degree_to_n():
     assert all(1 <= len(s) <= 3 for s in g.succ)
 
 
+def test_random_game_rejects_bad_arguments():
+    for args, message in (
+        ((0, 2), "n must be positive"),
+        ((-3, 2), "n must be positive"),
+        ((4, 3), "d must be a positive even number"),
+        ((4, 0), "d must be a positive even number"),
+        ((4, 2, (0, 2)), "out-degree lower bound must be at least 1"),
+        ((4, 2, (-1, -1)), "out-degree lower bound must be at least 1"),
+    ):
+        with pytest.raises(GameError, match=message):
+            random_game(*args)
+
+
 def test_random_game_priority_histogram_roughly_uniform():
     # chi-square sanity over fixed seeds; deterministic, generous bound
     counts = [0] * 4
@@ -377,6 +394,12 @@ def test_constructor_rejects_bad_games():
         GameGraph([0], [2], [[5]], d=2)
     with pytest.raises(GameError, match="at least one vertex"):
         GameGraph([], [], [], d=2)
+    with pytest.raises(GameError, match="differ in length"):
+        GameGraph([0, 0], [2], [[0], [1]], d=2)
+    with pytest.raises(GameError, match="differ in length"):
+        GameGraph([0], [2], [[0], [0]], d=2)
+    with pytest.raises(GameError, match="vertex 0 has owner 2, expected 0 or 1"):
+        GameGraph([2], [2], [[0]], d=2)
 
 
 def test_predecessors():

@@ -16,6 +16,7 @@ from pgtrees.solver import (
     WORKLIST_POLICIES,
     LeafRanks,
     Measure,
+    WinningRegions,
     _bits,
     _components,
     _worklist,
@@ -44,10 +45,14 @@ def seeded_games(count, n_range, d_choices, seed):
 
 
 def test_measure_k_even_measure():
+    # one prefix length per priority present, equal to the reference's
+    # bisection over the live levels
     g = GameGraph([EVEN] * 4, [4, 3, 2, 1], [[0]] * 4, d=4)
-    assert Measure(g, EVEN, 1).k == [0, 1, 1, 2]
+    mu = Measure(g, EVEN, 1)
+    assert mu.k == {4: 0, 3: 1, 2: 1, 1: 2} == measure_setup(g, EVEN, 1)[0]
+    assert mu.strict == {4: 0, 3: 1, 2: 0, 1: 1} == measure_setup(g, EVEN, 1)[1]
     g2 = GameGraph([EVEN] * 2, [2, 1], [[0]] * 2, d=2)
-    assert Measure(g2, EVEN, 1).k == [0, 1]
+    assert Measure(g2, EVEN, 1).k == {2: 0, 1: 1} == measure_setup(g2, EVEN, 1)[0]
 
 
 def test_solve_huge_priority_uses_live_height():
@@ -71,7 +76,9 @@ def test_tree_height_is_live_level_count():
 
 def test_measure_k_odd_measure():
     g = GameGraph([EVEN] * 4, [4, 3, 2, 1], [[0]] * 4, d=4)
-    assert Measure(g, ODD, 1).k == [1, 1, 2, 2]
+    mu = Measure(g, ODD, 1)
+    assert mu.k == {4: 1, 3: 1, 2: 2, 1: 2} == measure_setup(g, ODD, 1)[0]
+    assert mu.strict == {4: 1, 3: 0, 2: 1, 1: 0} == measure_setup(g, ODD, 1)[1]
 
 
 def test_live_levels():
@@ -259,13 +266,45 @@ def test_setup_cache_matches_the_per_vertex_definition(monkeypatch):
                 hits.append(setup.cache_info().hits > before)
                 k, strict, target, rows = measure_setup(h, player, size)
                 assert (mu.k, mu.strict, mu.target) == (k, strict, target)
+                assert {type(s) for s in mu.strict.values()} == {type(t) for t in mu.target} == {int}
                 assert mu.ranks is leaf_ranks(size, mu.ranks.height)
-                assert len(mu.rows) == len(rows) == h.n
-                assert all(a is b for a, b in zip(mu.rows, rows))
+                assert mu.rows.keys() == rows.keys() == set(h.priority)
+                assert all(mu.rows[p] is rows[p] for p in rows)
+                # the per-vertex reading through the game's priorities
+                assert mu.priority is h.priority
                 trees.add((size, mu.ranks.height))
     switches = sum(a != b for a, b in zip(hits, hits[1:]))
     assert switches >= 300 and hits.count(False) >= 150
     assert len(trees) > 256
+
+
+def test_solves_never_write_the_shared_setup(monkeypatch):
+    # every Measure over the same priorities shares _setup's dicts, so a
+    # solve that wrote one would corrupt every later solve; after solving
+    # under each policy and the full tree, each entry must still equal a
+    # fresh computation, and each final measure read the cached dicts
+    fresh = solver._setup.__wrapped__
+    cached = functools.lru_cache(maxsize=SETUP_CAP)(fresh)
+    keys = set()
+
+    def setup(present, player):
+        keys.add((present, player))
+        return cached(present, player)
+
+    monkeypatch.setattr(solver, "_setup", setup)
+    options = ({"worklist": "fifo"}, {"worklist": "lifo"},
+               {"worklist": "random", "seed": 3}, {"full_tree": True})
+    subgames = 0
+    for g in seeded_games(120, (2, 60), (4, 6, 8, 16), seed=83):
+        for kwargs in options:
+            r = solve(g, **kwargs)
+            subgames += r.stats.subgames
+            _, k, strict = cached(frozenset(g.priority), r.stats.player)
+            assert r.measure.k is k and r.measure.strict is strict
+    # no entry was evicted, so every one a solve read is checked
+    assert subgames > 0 and len(keys) == cached.cache_info().currsize <= SETUP_CAP
+    for key in keys:
+        assert cached(*key) == fresh(*key)
 
 
 def test_vertex_consistent_does_not_read_the_memo(monkeypatch):
@@ -463,6 +502,11 @@ def test_bits_lists_set_positions_in_order():
 def test_zielonka_deterministic():
     g = random_game(9, 6, (1, 3), seed=4)
     assert zielonka(g) == zielonka(g)
+
+
+def test_winning_regions_must_be_disjoint():
+    with pytest.raises(ValueError, match="disjoint"):
+        WinningRegions(even=frozenset({0, 1}), odd=frozenset({1, 2}))
 
 
 def test_brute_force_guard():

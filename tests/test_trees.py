@@ -78,6 +78,9 @@ def test_construct_empty_and_leaf():
     assert universal_tree(0, 3) is None
     assert leaf_count(None) == 0
     assert universal_tree(4, 0).width == 1
+    for n, h in ((-1, 2), (2, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            universal_tree(n, h)
 
 
 def test_construct_root_arity_is_n():

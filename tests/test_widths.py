@@ -190,6 +190,12 @@ def test_report_csv_format():
         float(parts[5]), float(parts[6]), float(parts[7])
 
 
+def test_report_rejects_empty_grids():
+    for n_values, h_values in (([], [2]), ([3], []), ([], [])):
+        with pytest.raises(ValueError, match="both grids must be nonempty"):
+            width_report(n_values, h_values)
+
+
 def test_report_handles_n_equal_one():
     row = width_report([1], [3])[(1, 3)]
     assert math.isnan(row.bound_exponential)
