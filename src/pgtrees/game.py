@@ -4,8 +4,8 @@ Priorities live on vertices and range over 1..d with d even; player Even
 wins a play iff the highest priority occurring infinitely often is even.
 Owner code 0 means Even and 1 means Odd, matching the PGSolver convention.
 
-`parse_pgsolver` builds canonical text, the form `serialize_pgsolver` writes,
-in bulk with string methods and no loop per record.  Every other text, and
+`parse_pgsolver` builds canonical text, the form `serialize_pgsolver` writes
+with ids 0..n-1 in order, in bulk from one token split.  Every other text, and
 canonical text that is not a valid game, is scanned record by record with one
 regex, which alone locates errors; the two give the same graph.
 """
@@ -15,8 +15,7 @@ from __future__ import annotations
 import random
 import re
 import sys
-from itertools import islice, repeat
-from operator import add
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 EVEN = 0
@@ -78,19 +77,24 @@ class GameGraph:
             for w in succ[v]:
                 if not 0 <= w < n:
                     raise GameError(f"vertex {v} has edge to unknown vertex {w}")
-        preds: list[list[int]] = [[] for _ in range(n)]
+        self._store(owner, priority, succ, d)
+
+    def _store(self, owner: tuple, priority: tuple, succ: tuple, d: int) -> GameGraph:
+        # keeps columns that pass the checks above; on a bare __new__, the unchecked constructor
+        preds: list[list[int]] = [[] for _ in owner]
         for v, s in enumerate(succ):
             if len(s) == 1:
                 preds[s[0]].append(v)
             else:
                 for w in set(s):
                     preds[w].append(v)
-        self.n = n
+        self.n = len(owner)
         self.d = d
         self.owner = owner
         self.priority = priority
         self.succ = succ
         self.preds = tuple(map(tuple, preds))
+        return self
 
     @property
     def edge_count(self) -> int:
@@ -158,46 +162,42 @@ def _too_long(text: str, record: re.Match) -> ParseError:
 
 
 def parse_pgsolver(text: str | bytes) -> GameGraph:
-    """Parse a PGSolver-format game description.
+    """Parse a PGSolver-format game description; bytes are UTF-8, a BOM dropped.
 
     Accepts an optional ``parity <max-id>;`` header, then one record per
     vertex.  Vertex ids are remapped to 0..n-1 in declaration order and
     priorities are normalized via `normalize_priorities`.  Canonical text
-    (see `_CANONICAL_RE`) is built in bulk; any other text, and canonical
-    text that is not a valid game, goes through the record scan, so the
-    graph or the located `ParseError` is the same either way.
+    (`_CANONICAL_RE`) with ids 0..n-1 in order is built in bulk; any other
+    text goes through the record scan, which gives the same graph or raises
+    the located `ParseError`.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = text.decode("utf-8-sig")
     g = _parse_canonical(text)
     return g if g is not None else _parse_records(text)
 
 
 def _parse_canonical(text: str) -> GameGraph | None:
-    """Build the game of canonical text column by column, with no loop per record.
-
-    Returns None when the text is not canonical, or is not a valid game: a
-    repeated id, an undeclared successor or a number past the digit limit.
-    The record scan then reports the error.
-    """
+    """Build the game of canonical text column by column, with no loop per
+    record.  Returns None, leaving the text to the record scan, when it is not
+    canonical, its ids are not 0..n-1 in order, a successor is n or more, or a
+    number is past the digit limit."""
     if not _CANONICAL_RE.fullmatch(text):
         return None
-    records = text.rstrip(";\n").split(";\n")
-    if records[0].startswith("p"):
-        del records[0]
-    ids, prios, owners, succs = zip(*map(str.split, records))
+    tokens = text.replace(";", " ").split()
+    if tokens[0] == "parity":
+        del tokens[:2]
+    ids, prios, owners, succs = tokens[0::4], tokens[1::4], tokens[2::4], tokens[3::4]
     try:
-        index = dict(zip(map(int, ids), range(len(ids))))
-        targets = list(map(index.__getitem__, map(int, ",".join(succs).split(","))))
-        raw_prios = list(map(int, prios))
-    except (KeyError, ValueError):
+        targets = tuple(map(int, ",".join(succs).split(",")))
+        if list(map(int, ids)) != list(range(len(ids))) or max(targets) >= len(ids):
+            return None
+        priorities, d = normalize_priorities(list(map(int, prios)))
+    except ValueError:  # a number past the digit limit
         return None
-    if len(index) != len(ids):
-        return None
-    counts = map(add, map(str.count, succs, repeat(",")), repeat(1))  # commas + 1
-    succ_lists = map(islice, repeat(iter(targets)), counts)
-    priorities, d = normalize_priorities(raw_prios)
-    return GameGraph(map(int, owners), priorities, succ_lists, d=d)
+    ends = list(accumulate(map(len, map(str.split, succs, repeat(",")))))
+    succ = tuple(map(targets.__getitem__, map(slice, [0, *ends], ends)))
+    return GameGraph.__new__(GameGraph)._store(tuple(map(int, owners)), tuple(priorities), succ, d)
 
 
 def _parse_records(text: str) -> GameGraph:

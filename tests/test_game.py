@@ -167,6 +167,58 @@ def test_parse_builds_canonical_text_in_bulk_and_leaves_errors_to_the_scan(monke
     assert [columns(parse_pgsolver(text)) for text in texts] == expected
 
 
+def _columns(g):
+    return g.n, g.d, g.owner, g.priority, g.succ, g.preds
+
+
+def test_parse_builds_canonical_text_without_the_public_constructor(monkeypatch):
+    texts = [serialize_pgsolver(random_game(n, 6, (1, 3), seed=n)) for n in (1, 2, 9, 60)]
+    expected = [_columns(game._parse_records(text)) for text in texts]
+
+    def checked(*args, **kwargs):
+        raise AssertionError("canonical text went through GameGraph.__init__")
+
+    monkeypatch.setattr(GameGraph, "__init__", checked)
+    assert [_columns(parse_pgsolver(text)) for text in texts] == expected
+
+
+def test_parse_leaves_canonical_text_with_other_ids_to_the_scan():
+    # a successor of exactly n is undeclared: the bulk path refuses it and
+    # the scan reports it where it would in any other text
+    text = "parity 2;\n0 1 0 1;\n1 2 1 0,2;\n2 3 0 1,3;\n"
+    with pytest.raises(ParseError) as info:
+        parse_pgsolver(text)
+    assert str(info.value) == "vertex 2 references undeclared successor 3 (line 4, column 1)"
+    # ids 1..n, or 0..n-1 out of order, are canonical text that the bulk
+    # path refuses; the scan remaps them in declaration order
+    for text in (
+        "parity 3;\n1 1 0 2;\n2 2 1 1,3;\n3 4 0 3;\n",
+        "2 1 0 0;\n0 2 1 1,2;\n1 3 0 2;\n",
+        "parity 1;\n1 5 1 0,1;\n0 2 0 1;",
+    ):
+        assert game._CANONICAL_RE.fullmatch(text), text
+        assert _columns(parse_pgsolver(text)) == _columns(game._parse_records(text))
+    g = parse_pgsolver("2 1 0 0;\n0 2 1 1,2;\n1 3 0 2;\n")
+    assert g.succ == ((1,), (2, 0), (0,))
+    assert g.priority == (1, 2, 3)
+
+
+def test_parse_drops_a_byte_order_mark(monkeypatch):
+    # a file saved with a BOM parses as the same file without it, and its
+    # errors keep their locations
+    bom = b"\xef\xbb\xbf"
+    scanned = b'0 1 0 1 "a";\n1 2 1 0; -- c\n'
+    assert _columns(parse_pgsolver(bom + scanned)) == _columns(parse_pgsolver(scanned))
+    with pytest.raises(ParseError) as info:
+        parse_pgsolver(bom + b"0 1 0 1;\n1 2 1 7;\n")
+    assert str(info.value) == "vertex 1 references undeclared successor 7 (line 2, column 1)"
+    # canonical text after a BOM is still built in bulk
+    canonical = b"parity 1;\n0 1 0 1;\n1 2 1 0,1;\n"
+    expected = _columns(parse_pgsolver(canonical))
+    monkeypatch.setattr(game, "_parse_records", None)
+    assert _columns(parse_pgsolver(bom + canonical)) == expected
+
+
 _BLANKS = [" ", " ", "\t", "\n", "\r\n", "\x1c", "\x1f", "\u3000", "\x0b", "\x85"]
 _NAMES = ['"a"', '"a;b"', '"x--y"', '"v;--x"', '""'] * 3 + ['"open', '"two\nlines"', '"p;\nq"']
 _NOISE = [";", "-", "--", '"', "parity", "parity 3;", "7", "12", "0", ",", "\n", "\u3000", "x"]

@@ -550,6 +550,36 @@ def fresh_measure(g, full_tree=False):
     return Measure(g, player, g.n if full_tree else max(min(odd, g.n - odd), 1))
 
 
+def test_eta_sized_tree_is_tight():
+    # the paper's bound: over the tree sized by eta, the count of the
+    # measured player's opponent-parity vertices, the worklist's least
+    # fixpoint gives that player its exact region on every game; one size
+    # smaller gives a wrong region on some game.  The fixpoint does not
+    # depend on the lifting order, so the count of such games is exact
+    rng = random.Random(7)
+    smaller_wrong = []
+    for i in range(3000):
+        n, d = rng.randint(2, 12), rng.choice((2, 4, 6))
+        g = random_game(n, d, (1, 3), seed=i)
+        odd = sum(p % 2 for p in g.priority)
+        player = EVEN if odd <= n - odd else ODD
+        eta = max(min(odd, n - odd), 1)
+        regions = zielonka(g)
+        exact = regions.even if player == EVEN else regions.odd
+
+        def region(size):
+            mu = Measure(g, player, size)
+            _worklist(g, mu, _components(g), "lifo", 0, [0, 0])
+            return {v for v in range(n) if mu.values[v] != mu.top}
+
+        assert region(eta) == exact, i
+        if eta > 1 and region(eta - 1) != exact:
+            smaller_wrong.append(i)
+    # 47 of the 2,021 games with eta >= 2
+    assert len(smaller_wrong) == 47
+    assert smaller_wrong[0] == 232
+
+
 def round_robin_values(g):
     """The paper's plain lifting: sweep every vertex in order, lifting each,
     until a whole sweep changes nothing.  No worklist, no components."""
