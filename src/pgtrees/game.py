@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import re
 import sys
-from itertools import accumulate, repeat
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
 EVEN = 0
@@ -189,14 +189,14 @@ def _parse_canonical(text: str) -> GameGraph | None:
         del tokens[:2]
     ids, prios, owners, succs = tokens[0::4], tokens[1::4], tokens[2::4], tokens[3::4]
     try:
-        targets = tuple(map(int, ",".join(succs).split(",")))
+        targets = list(map(int, ",".join(succs).split(",")))
         if list(map(int, ids)) != list(range(len(ids))) or max(targets) >= len(ids):
             return None
         priorities, d = normalize_priorities(list(map(int, prios)))
     except ValueError:  # a number past the digit limit
         return None
-    ends = list(accumulate(map(len, map(str.split, succs, repeat(",")))))
-    succ = tuple(map(targets.__getitem__, map(slice, [0, *ends], ends)))
+    counts = map(len, map(str.split, succs, repeat(",")))
+    succ = tuple(map(tuple, map(islice, repeat(iter(targets)), counts)))
     return GameGraph.__new__(GameGraph)._store(tuple(map(int, owners)), tuple(priorities), succ, d)
 
 
