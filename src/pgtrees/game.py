@@ -162,7 +162,7 @@ def _too_long(text: str, record: re.Match) -> ParseError:
 
 
 def parse_pgsolver(text: str | bytes) -> GameGraph:
-    """Parse a PGSolver-format game description; bytes are UTF-8, a BOM dropped.
+    """Parse a PGSolver-format game from text or UTF-8 bytes; a leading BOM is dropped.
 
     Accepts an optional ``parity <max-id>;`` header, then one record per
     vertex.  Vertex ids are remapped to 0..n-1 in declaration order and
@@ -171,8 +171,7 @@ def parse_pgsolver(text: str | bytes) -> GameGraph:
     text goes through the record scan, which gives the same graph or raises
     the located `ParseError`.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8-sig")
+    text = (text.decode("utf-8") if isinstance(text, bytes) else text).removeprefix("\ufeff")
     g = _parse_canonical(text)
     return g if g is not None else _parse_records(text)
 

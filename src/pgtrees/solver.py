@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -95,12 +95,13 @@ class LeafRanks:
     order, lexicographic path order, and ``width`` doubles as TOP.  So
     every subtree owns a contiguous block of ranks, and "the length-k path
     prefix of a is >= (or >) that of b" reads "a >= the first rank (or the
-    end) of b's depth-k block".  A node is known by its size m: 0 for a
-    stop branch, m >= 1 for a padded universal subtree, whose children are
-    a stop branch and subtrees of the sizes `trees.subtree_sizes(m)`.
-    ``_levels[t][m]`` holds, for a size-m node of height t >= 1, its
-    children's start offsets followed by its width, and their sizes, so a
-    rank's block takes one bisection per level.
+    end) of b's depth-k block".  A node of size m >= 1 is a padded
+    universal subtree whose children are a stop branch and subtrees of the
+    sizes `trees.subtree_sizes(m)`, that is S(m // 2) + (m,) + S(m - 1 -
+    m // 2): the children of two halves around a size-m child one level
+    lower.  ``_blocks[m][t]`` counts the leaves below the non-stop children
+    of a size-m node of height t, for each size halving reaches (0 for an
+    empty half), so a rank's block takes one walk down the halves per level.
 
     ``memo[k][strict]``, strict 0 or 1, maps a rank r to ``successor(r,
     k, strict)`` for every run over the tree.  A `Measure` holds the row of
@@ -111,30 +112,21 @@ class LeafRanks:
     `leaf_ranks` has dropped outlives the measures over it.
     """
 
-    __slots__ = ("size", "height", "width", "_levels", "memo", "entries")
+    __slots__ = ("size", "height", "width", "_blocks", "memo", "entries")
 
     def __init__(self, size: int, height: int):
         if size < 1 or height < 0:
             raise ValueError("size must be positive and height nonnegative")
-        # S(size) holds size itself and, by induction, every size below it
-        kids = {m: (0,) + subtree_sizes(m) for m in set(subtree_sizes(size))}
-        # widths at the height below the level being built; a stop
-        # branch is one leaf wide at every height
-        widths = dict.fromkeys([0, *kids], 1)
-        levels: list[dict] = [{}]
-        for _ in range(height):
-            level = {}
-            for m, children in kids.items():
-                bounds = [0]
-                for s in children:
-                    bounds.append(bounds[-1] + widths[s])
-                level[m] = (tuple(bounds), children)
-            levels.append(level)
-            widths.update((m, bounds[-1]) for m, (bounds, _) in level.items())
+        # B(m, t) = B(m // 2, t) + B(m, t - 1) + 1 + B(m - 1 - m // 2, t) over
+        # S(size): size itself and, by induction, every size halving reaches
+        blocks = {0: [0] * (height + 1)}
+        for m in sorted(set(subtree_sizes(size))):  # halves first
+            halves = zip(blocks[m // 2][1:], blocks[m - 1 - m // 2][1:])
+            blocks[m] = list(itertools.accumulate((a + b + 1 for a, b in halves), initial=0))
         self.size = size
         self.height = height
-        self.width = widths[size]
-        self._levels = levels
+        self.width = blocks[size][height] + 1
+        self._blocks = blocks
         self.memo = [({}, {}) for _ in range(height + 1)]
         self.entries = 0
 
@@ -153,22 +145,30 @@ class LeafRanks:
             raise ValueError(f"prefix length {k} outside 0..{self.height}")
         if k == self.height:
             return r + strict
-        levels = self._levels
-        m = self.size
-        base, end = 0, self.width
+        blocks = self._blocks
+        m, base = self.size, 0
         for t in range(self.height, self.height - k, -1):
-            if not m:
-                break  # inside a stop branch: the block is already one leaf
-            bounds, children = levels[t][m]
-            i = bisect_right(bounds, r - base) - 1
-            base, end = base + bounds[i], base + bounds[i + 1]
-            m = children[i]
-        return end if strict else base
+            # r lies in the block of a size-m node of height t at base
+            if r == base:
+                return base + strict  # its stop branch: a block of one leaf
+            base += 1
+            while True:  # the halves of S(m) around its size-m child
+                half = blocks[m // 2][t]
+                if r < base + half:
+                    m //= 2
+                    continue
+                base += half
+                middle = blocks[m][t - 1] + 1
+                if r < base + middle:
+                    break
+                base += middle
+                m -= 1 + m // 2
+        return base + blocks[m][self.height - k] + 1 if strict else base
 
 
 @lru_cache(maxsize=256)
 def leaf_ranks(size: int, height: int) -> LeafRanks:
-    """Cached `LeafRanks`; the tables depend only on (size, height)."""
+    """Cached `LeafRanks`; its block rows depend only on (size, height)."""
     return LeafRanks(size, height)
 
 

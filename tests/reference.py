@@ -11,24 +11,27 @@ by recursion over the root's children, which `trees.enumerate_trees`
 does height by height; `dp_embeds` decides embedding by a two-index
 dynamic program, where `trees.embeds` matches children greedily;
 `with_stop_branches` builds the padded tree whose leaves
-`solver.LeafRanks` numbers without building it; `leaf_paths` lists a
-tree's leaves; `finishing_order` is the depth-first search over
-predecessors whose order `solver._components` lists each component in;
+`solver.LeafRanks` numbers without building it, and `padded_width` counts
+those leaves height by height, where `LeafRanks` sums block rows over the
+halves of each size; `leaf_paths` lists a tree's leaves; `finishing_order`
+is the depth-first search over predecessors whose order
+`solver._components` lists each component in;
 `measure_setup` builds a `solver.Measure`'s per-priority tables and first
 targets from the game's vertices, where the solver reads the tables from a
 cache keyed by the priorities present.
-All of them recurse once or twice per level, so they suit the shallow
-trees and small games of the tests only.
+All of them but `padded_width` recurse once or twice per level, so they
+suit the shallow trees and small games of the tests only.
 """
 
 import re
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
 from pgtrees import solver
 from pgtrees.game import EVEN, GameGraph, ParseError, normalize_priorities
-from pgtrees.trees import OrderedTree
+from pgtrees.trees import OrderedTree, subtree_sizes
 
 # One vertex record: id, priority, owner, comma separated successors and an
 # optional quoted name.  The ';' terminator is stripped before matching.
@@ -155,6 +158,21 @@ def with_stop_branches(t: OrderedTree) -> OrderedTree:
     children = (_blank_path(t.height - 1),)
     children += tuple(with_stop_branches(c) for c in t.children)
     return OrderedTree(children)
+
+
+def padded_width(size: int, height: int) -> int:
+    """Leaves of ``with_stop_branches(universal_tree(size, height))``.
+
+    The defining recursion, P(m, 0) = 1 and P(m, t) = 1 + the sum of
+    P(s, t - 1) over the sizes s in `subtree_sizes(m)`, the 1 being the
+    stop branch, evaluated one height at a time over the sizes that
+    ``size`` reaches, each child size counted once with its multiplicity.
+    """
+    children = {m: Counter(subtree_sizes(m)) for m in set(subtree_sizes(size))}
+    widths = dict.fromkeys(children, 1)
+    for _ in range(height):
+        widths = {m: 1 + sum(c * widths[s] for s, c in kids.items()) for m, kids in children.items()}
+    return widths[size]
 
 
 def leaf_paths(t: OrderedTree) -> list[tuple[int, ...]]:

@@ -209,6 +209,9 @@ def test_parse_drops_a_byte_order_mark(monkeypatch):
     bom = b"\xef\xbb\xbf"
     scanned = b'0 1 0 1 "a";\n1 2 1 0; -- c\n'
     assert _columns(parse_pgsolver(bom + scanned)) == _columns(parse_pgsolver(scanned))
+    # as does text read from such a file, which still starts with U+FEFF
+    text = (bom + scanned).decode("utf-8")
+    assert _columns(parse_pgsolver(text)) == _columns(parse_pgsolver(scanned))
     with pytest.raises(ParseError) as info:
         parse_pgsolver(bom + b"0 1 0 1;\n1 2 1 7;\n")
     assert str(info.value) == "vertex 1 references undeclared successor 7 (line 2, column 1)"

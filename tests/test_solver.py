@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
@@ -30,7 +31,7 @@ from pgtrees.solver import (
     zielonka,
 )
 from pgtrees.trees import leaf_count, universal_tree
-from reference import finishing_order, leaf_paths, measure_setup, with_stop_branches
+from reference import finishing_order, leaf_paths, measure_setup, padded_width, with_stop_branches
 
 
 def seeded_games(count, n_range, d_choices, seed):
@@ -169,17 +170,26 @@ def test_rank_successor_matches_leaf_scan():
 
 
 def test_rank_successor_monotone():
+    # a small tree, a wide one, and a tall one of 22 decimal digits of leaves
     rng = random.Random(11)
-    ranks = LeafRanks(5, 3)
-    for _ in range(200):
-        r, s = sorted(rng.randrange(ranks.width) for _ in range(2))
-        k = rng.randint(1, ranks.height)
-        loose = ranks.successor(r, k, False)
-        strict = ranks.successor(r, k, True)
-        assert loose <= r < strict  # TOP is above every leaf
-        assert ranks.successor(loose, k, True) == strict  # same block
-        assert loose <= ranks.successor(s, k, False)
-        assert strict <= ranks.successor(s, k, True)
+    for size, height in ((5, 3), (4991, 8), (500, 500)):
+        ranks = LeafRanks(size, height)
+        for _ in range(200):
+            r, s = sorted(rng.randrange(ranks.width) for _ in range(2))
+            k = rng.randint(1, ranks.height)
+            loose = ranks.successor(r, k, False)
+            strict = ranks.successor(r, k, True)
+            assert loose <= r < strict  # TOP is above every leaf
+            assert ranks.successor(loose, k, True) == strict  # same block
+            assert loose <= ranks.successor(s, k, False)
+            assert strict <= ranks.successor(s, k, True)
+
+
+def test_rank_width_matches_the_defining_recursion():
+    # the block rows against the padded tree's own recursion, up to sizes
+    # and heights far past what test_rank_successor_matches_leaf_scan builds
+    for size, height in ((1, 1), (3, 2), (7, 12), (24, 8), (200, 3), (4991, 8), (500, 500), (49604, 32)):
+        assert LeafRanks(size, height).width == padded_width(size, height), (size, height)
 
 
 def test_target_cache_matches_values(monkeypatch):
@@ -221,6 +231,25 @@ def test_memo_stays_within_its_cap(monkeypatch):
     assert mu.ranks.entries == MEMO_CAP
     assert sum(len(row) for rows in mu.ranks.memo for row in rows) == MEMO_CAP
     assert mu.target == [mu.fresh_target(w) for w in range(g.n)]
+
+
+def test_path_game_memory_grows_linearly(monkeypatch):
+    # vertex i has priority i + 1 and one edge to i - 1, so the tree is
+    # n/2 wide and n/2 tall; doubling n must about double, not quadruple,
+    # what a solve allocates, each solve building its tree afresh
+    monkeypatch.setattr(solver, "leaf_ranks", LeafRanks)
+    monkeypatch.setattr(solver, "_setup", solver._setup.__wrapped__)
+    peaks = []
+    for n in (2000, 4000):
+        g = GameGraph([EVEN] * n, [i + 1 for i in range(n)], [[max(i - 1, 0)] for i in range(n)], d=n)
+        tracemalloc.start()
+        try:
+            r = solve(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert r.stats.eta == n // 2
+    assert peaks[1] <= 2.5 * peaks[0], peaks
 
 
 def test_setup_cache_holds_no_tree(monkeypatch):
