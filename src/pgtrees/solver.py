@@ -12,7 +12,7 @@ first two: the Buchi loop (`_buchi`) decides it whole.
 1. a probe lifts the measure for at most SLICE lifts (`_worklist`); a
    game it finishes is done;
 2. otherwise the components it finished are final, and the others are
-   decided one at a time (`_decompose`);
+   decided one at a time, on g's own vertex ids (`_decompose`);
 3. the vertices the measured player loses go to TOP, their value in the
    least fixpoint, and one completion run lifts the rest up to it.
 
@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import mod
 
 from .game import EVEN, ODD, GameError, GameGraph
-from .trees import subtree_sizes
+from .widths import halving_sizes
 
 WORKLIST_POLICIES = ("fifo", "lifo", "random")
 # lifts of the measured player's probe
@@ -118,9 +118,9 @@ class LeafRanks:
         if size < 1 or height < 0:
             raise ValueError("size must be positive and height nonnegative")
         # B(m, t) = B(m // 2, t) + B(m, t - 1) + 1 + B(m - 1 - m // 2, t) over
-        # S(size): size itself and, by induction, every size halving reaches
+        # the sizes of S(size): size itself and every size halving reaches
         blocks = {0: [0] * (height + 1)}
-        for m in sorted(set(subtree_sizes(size))):  # halves first
+        for m in halving_sizes(size):  # halves first
             halves = zip(blocks[m // 2][1:], blocks[m - 1 - m // 2][1:])
             blocks[m] = list(itertools.accumulate((a + b + 1 for a, b in halves), initial=0))
         self.size = size
@@ -208,13 +208,18 @@ class Measure:
     SETUP_CAP pairs, and ``rows[p]`` is this run's memo row
     ``ranks.memo[k[p]][strict[p]]``.  `_setup` holds no tree: the tree
     comes from `leaf_ranks` on every run, so `LeafRanks`' memo bound stands.
+
+    A round of `_decompose` passes ``shared``: its subgame's priorities,
+    which set the tree's height, and the ``values`` and ``target`` lists
+    its rounds share, which it sets on the subgame and its rim itself.
     """
 
     __slots__ = ("values", "target", "priority", "rows", "player", "ranks", "top", "k", "strict")
 
-    def __init__(self, g: GameGraph, player: int, size: int):
-        height, k, strict = _setup(frozenset(g.priority), player)
-        self.values = [0] * g.n
+    def __init__(self, g: GameGraph, player: int, size: int, shared: tuple | None = None):
+        present, values, target = shared or (frozenset(g.priority), [0] * g.n, None)
+        height, k, strict = _setup(present, player)
+        self.values = values
         self.priority = g.priority
         self.player = player
         self.ranks = ranks = leaf_ranks(size, height)
@@ -224,7 +229,7 @@ class Measure:
         # a block of its own at every depth k >= 1: an edge into a vertex
         # at 0 admits 0, or strictly 1, a strict vertex's priority being a
         # live level, so that its k >= 1
-        self.target = list(map(strict.__getitem__, g.priority))
+        self.target = target if shared else list(map(strict.__getitem__, g.priority))
         self.rows = {p: ranks.memo[k[p]][strict[p]] for p in k}
 
     def fresh_target(self, w: int) -> int:
@@ -332,7 +337,7 @@ def _components(g: GameGraph) -> list[list[int]]:
 
 def _worklist(
     g: GameGraph, mu: Measure, components: list, policy: str, seed: int, counts: list,
-    limit: int | None = None,
+    limit: int | None = None, queued: list | None = None,
 ) -> int | None:
     """Lift mu to its least fixpoint above its current values and return
     None; or stop once ``limit`` lifts are made and return the index of
@@ -352,13 +357,15 @@ def _worklist(
     serves if its old one did.
 
     ``counts`` is ``[lifts, changes]`` and gains this run's share.
+    A vertex in no component counts as queued, so it is never lifted;
+    `_decompose` shares one ``queued`` between rounds and resets it.
     """
     preds, priority = g.preds, g.priority
     values, target, rows = mu.values, mu.target, mu.rows
     top = mu.top
     # a vertex waiting for its component's turn counts as queued, so no
     # change below it pushes it early
-    queued = [True] * g.n
+    queued = [True] * g.n if queued is None else queued
     if policy == "fifo":
         queue = deque()
         pop = queue.popleft
@@ -414,14 +421,16 @@ def _worklist(
     return None
 
 
-def _sides(g: GameGraph, full_tree: bool) -> tuple[list[tuple[int, int]], int]:
+def _sides(priorities: list, full_tree: bool) -> tuple[list[tuple[int, int]], int]:
     """Both players with their tree sizes, the measured player first, and
-    eta.  A tree is sized by the count of its player's opponent's parity,
-    at least 1, or by n under ``full_tree``; the measured player has the
-    smaller count, eta, and ties go to Even."""
-    odd = sum(map(mod, g.priority, itertools.repeat(2)))  # counted in C, no bytecode per vertex
-    even = g.n - odd
-    size_even, size_odd = (g.n, g.n) if full_tree else (max(odd, 1), max(even, 1))
+    eta, for a game or subgame with these vertex ``priorities``.  A tree is
+    sized by the count of its player's opponent's parity, at least 1, or by
+    n under ``full_tree``; the measured player has the smaller count, eta,
+    and ties go to Even."""
+    n = len(priorities)
+    odd = sum(map(mod, priorities, itertools.repeat(2)))  # counted in C, no bytecode per vertex
+    even = n - odd
+    size_even, size_odd = (n, n) if full_tree else (max(odd, 1), max(even, 1))
     if odd <= even:
         return [(EVEN, size_even), (ODD, size_odd)], odd
     return [(ODD, size_odd), (EVEN, size_even)], even
@@ -498,15 +507,21 @@ def _decompose(
     keeps a successor, and none can move into a vertex its owner has won.
     ``unwon[p][u]`` counts u's distinct successors that p has not won.  A
     one-level subgame goes to `_buchi`, as a one-level game goes whole
-    from `solve`.  Any other is built as a game of its own with only its
-    inner edges (a dropped edge enters a vertex won by the opponent of its
-    source's owner, so it never decides a lift) and decided in rounds s =
-    1, 2, 4, ...: each side, the subgame's measured player first, lifts a
-    measure over the tree of size min(s, its own size) and wins what stays
-    below TOP, and at its own size loses the rest.  A measure into any
-    ordered tree is sound, one into the own-size tree is complete, and
-    most games need far less (the bounded dominions of Jurdzinski,
-    Paterson and Zwick, SODA 2006, and Schewe, FSTTCS 2007).
+    from `solve`.  Any other is decided in rounds s = 1, 2, 4, ...: each
+    side, the subgame's measured player first, lifts a measure over the
+    tree of size min(s, its own size) and wins what stays below TOP, and
+    at its own size loses the rest.  A measure into any ordered tree is
+    sound, one into the own-size tree is complete, and most games need far
+    less (the bounded dominions of Jurdzinski, Paterson and Zwick, SODA
+    2006, and Schewe, FSTTCS 2007).
+
+    Rounds lift over g's vertex ids, with one ``values``, ``target`` and
+    ``queued`` list for all, and touch only the subgame and its rim, the
+    decided successors outside it: ``target[w]`` of a rim vertex is TOP
+    if the side's player p lost w, else 0.  No subgame vertex moves into a
+    vertex its owner won, so p's vertices see TOP there and the opponent's
+    0, and each lift equals the one over inner edges.  Rim vertices are
+    never queued, so never lifted.
 
     Each side's decisions are attracted as soon as it has run, and the
     second side starts from them: what the first side and its attractor
@@ -515,11 +530,12 @@ def _decompose(
     once; a second time would lower the ``unwon`` counts twice, so it
     raises AssertionError.
     """
-    owner, succ, priority = g.owner, g.succ, g.priority
+    succ, priority = g.succ, g.priority
     undecided = set(range(g.n))
     everything = frozenset(undecided)  # unwon counts decided successors as well
     unwon = [{}, {}]  # indexed by player, EVEN = 0
     subgames = largest = 0
+    values, target, queued = [0] * g.n, [0] * g.n, [True] * g.n
 
     def attract(decided: list) -> None:
         # both players' attractors of the newly decided vertices; one passed
@@ -538,29 +554,28 @@ def _decompose(
         subgames += len(sub) > 1
         s = 1
         while sub:
-            present = {priority[v] for v in sub}
+            present = frozenset(priority[v] for v in sub)
             if len(present) == len({p % 2 for p in present}):
                 b = max(present)
                 _buchi(g, set(sub), b, sum(priority[v] == b for v in sub), winner)
                 attract(sub)
                 break
-            index = {v: j for j, v in enumerate(sub)}
-            inner = [[index[w] for w in succ[v] if w in index] for v in sub]
-            h = GameGraph([owner[v] for v in sub], [priority[v] for v in sub], inner, d=g.d)
-            for p, size in _sides(h, full_tree)[0]:
-                m = Measure(h, p, min(s, size))
-                top = m.top
-                # what the other side won is at TOP in p's least fixpoint
-                for j, v in enumerate(sub):
-                    if winner[v] >= 0:
-                        m.values[j] = m.target[j] = top  # `set` at TOP
-                _worklist(h, m, [range(h.n)], policy, seed, tally)  # h as one component
+            rim = {w for v in sub for w in succ[v]}.difference(sub)
+            for p, size in _sides([priority[v] for v in sub], full_tree)[0]:
+                m = Measure(g, p, min(s, size), (present, values, target))
+                top, strict = m.top, m.strict
+                for v in sub:  # as in a fresh `Measure`; what the other side won is at TOP
+                    values[v], target[v] = (0, strict[priority[v]]) if winner[v] < 0 else (top, top)
+                for w in rim:
+                    target[w] = top if winner[w] != p else 0
+                _worklist(g, m, [sub], policy, seed, tally, queued=queued)  # sub as one component
                 largest = max(largest, m.ranks.size)
                 decided = []
-                for v, value in zip(sub, m.values):
-                    if winner[v] < 0 and (value != top or s >= size):
+                for v in sub:
+                    queued[v] = True
+                    if winner[v] < 0 and (values[v] != top or s >= size):
                         # at an exact tree p loses the rest
-                        winner[v] = p if value != top else 1 - p
+                        winner[v] = p if values[v] != top else 1 - p
                         decided.append(v)
                 attract(decided)
                 if all(winner[v] >= 0 for v in sub):
@@ -587,7 +602,7 @@ def solve(
     the measured player's least fixpoint over its tree (module
     docstring), and the lift and change counts add up every run.
     """
-    [(player, size), _], eta = _sides(g, full_tree)
+    [(player, size), _], eta = _sides(g.priority, full_tree)
     mu = Measure(g, player, size)
     tally = [0, 0]
     subgames = round_size = 0

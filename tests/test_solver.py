@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import time
 import tracemalloc
 from bisect import bisect_left
 
@@ -190,6 +191,18 @@ def test_rank_width_matches_the_defining_recursion():
     # and heights far past what test_rank_successor_matches_leaf_scan builds
     for size, height in ((1, 1), (3, 2), (7, 12), (24, 8), (200, 3), (4991, 8), (500, 500), (49604, 32)):
         assert LeafRanks(size, height).width == padded_width(size, height), (size, height)
+
+
+def test_rank_rows_reach_their_sizes_by_halving():
+    # the sizes below a million are found by about 40 halvings, not by
+    # listing the million entries of subtree_sizes: 16.1 MB that way
+    tracemalloc.start()
+    try:
+        LeafRanks(10**6, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_target_cache_matches_values(monkeypatch):
@@ -794,7 +807,7 @@ def test_rounds_decide_a_large_game_on_small_trees():
     r = solve(g)
     assert r.stats.tree_width == 28_766_465
     assert (r.stats.lifts, r.stats.changes, r.stats.subgames, r.stats.round_size) == (
-        14188, 11087, 1, 2,
+        14056, 10959, 1, 2,
     )
     assert r.regions == zielonka(g)
 
@@ -806,7 +819,7 @@ def test_second_side_starts_from_the_first_sides_decisions():
     g = random_game(10000, 16, (1, 3), seed=1)
     r = solve(g)
     assert (r.stats.lifts, r.stats.changes, r.stats.subgames, r.stats.round_size) == (
-        50221, 39579, 1, 2,
+        50196, 39554, 1, 2,
     )
     assert r.regions == zielonka(g)
 
@@ -827,7 +840,7 @@ def test_completion_rejects_a_lost_vertex_given_to_the_measured_player(monkeypat
 
     def wrong(g, *args):
         winner, subgames, largest = decompose(g, *args)
-        player = solver._sides(g, False)[0][0][0]
+        player = solver._sides(g.priority, False)[0][0][0]
         winner[winner.index(1 - player)] = player
         return winner, subgames, largest
 
@@ -840,7 +853,7 @@ def test_completion_rejects_a_lost_vertex_given_to_the_measured_player(monkeypat
 
     def wrong_buchi(g, live, b, size, winner):
         order = buchi(g, live, b, size, winner)
-        player = solver._sides(g, False)[0][0][0]
+        player = solver._sides(g.priority, False)[0][0][0]
         winner[winner.index(1 - player)] = player
         return order
 
@@ -851,16 +864,21 @@ def test_completion_rejects_a_lost_vertex_given_to_the_measured_player(monkeypat
         solve(g)
 
 
-def test_many_subgames_in_one_solve():
-    # 600 disjoint 2-cycles v <-> v ^ 1, about half with a self-loop: the
-    # probe pauses early, and every cycle no attractor decides is a
-    # two-vertex subgame of its own, decided by the Buchi loop or, when
-    # both its priorities have one parity, in rounds
+def two_cycles(n):
+    """n // 2 disjoint 2-cycles v <-> v ^ 1, about half of the vertices
+    with a self-loop, owners and priorities 1..4 drawn from seed 5."""
     rng = random.Random(5)
-    owners = [rng.randint(0, 1) for _ in range(1200)]
-    priorities = [rng.randint(1, 4) for _ in range(1200)]
-    succ = [[v ^ 1] + ([v] if rng.random() < 0.5 else []) for v in range(1200)]
-    g = GameGraph(owners, priorities, succ, d=4)
+    owners = [rng.randint(0, 1) for _ in range(n)]
+    priorities = [rng.randint(1, 4) for _ in range(n)]
+    succ = [[v ^ 1] + ([v] if rng.random() < 0.5 else []) for v in range(n)]
+    return GameGraph(owners, priorities, succ, d=4)
+
+
+def test_many_subgames_in_one_solve():
+    # 600 disjoint 2-cycles: the probe pauses early, and every cycle no
+    # attractor decides is a two-vertex subgame of its own, decided by the
+    # Buchi loop or, when both its priorities have one parity, in rounds
+    g = two_cycles(1200)
     regions = zielonka(g)
     for options, counts in (
         (dict(worklist="fifo"), (1388, 475, 597)),
@@ -871,6 +889,37 @@ def test_many_subgames_in_one_solve():
         r = solve(g, **options)
         assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == counts
         assert r.regions == regions
+
+
+def test_subgames_cost_no_time_per_vertex_of_the_game():
+    # thousands of two-vertex subgames: a round that spent time on every
+    # vertex of the game, such as a list of length n per round, would make
+    # the 16 times larger game some 64 times slower
+    seconds = {}
+    for n in (5000, 80000):
+        g = two_cycles(n)
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            solve(g)
+            times.append(time.perf_counter() - start)
+        seconds[n] = min(times)
+    assert seconds[80000] <= 32 * seconds[5000], seconds
+
+
+def test_rounds_build_no_graph(monkeypatch):
+    # rounds lift over the game's own vertex ids, so no subgame is rebuilt
+    # as a GameGraph: its remap, validation and preds build are all gone
+    g = random_game(60, 8, (1, 3), seed=3)
+    regions = zielonka(g)
+
+    def refused(self, *args, **kwargs):
+        raise AssertionError("a GameGraph was built during the solve")
+
+    monkeypatch.setattr(GameGraph, "__init__", refused)
+    r = solve(g)
+    assert (r.stats.subgames, r.stats.round_size) == (1, 2)
+    assert r.regions == regions
 
 
 def ladder(k):
