@@ -212,9 +212,12 @@ class Measure:
     A round of `_decompose` passes ``shared``: its subgame's priorities,
     which set the tree's height, and the ``values`` and ``target`` lists
     its rounds share, which it sets on the subgame and its rim itself.
+    `lift` reads ``get_target``, ``target.__getitem__`` bound once per run,
+    and ``pick[owner]``: min for the player's vertices, max for the others.
     """
 
-    __slots__ = ("values", "target", "priority", "rows", "player", "ranks", "top", "k", "strict")
+    __slots__ = ("values", "target", "get_target", "pick", "priority", "rows", "player", "ranks",
+                 "top", "k", "strict")
 
     def __init__(self, g: GameGraph, player: int, size: int, shared: tuple | None = None):
         present, values, target = shared or (frozenset(g.priority), [0] * g.n, None)
@@ -230,6 +233,8 @@ class Measure:
         # at 0 admits 0, or strictly 1, a strict vertex's priority being a
         # live level, so that its k >= 1
         self.target = target if shared else list(map(strict.__getitem__, g.priority))
+        self.get_target = self.target.__getitem__
+        self.pick = (min, max) if player == EVEN else (max, min)
         self.rows = {p: ranks.memo[k[p]][strict[p]] for p in k}
 
     def fresh_target(self, w: int) -> int:
@@ -276,10 +281,9 @@ def lift(g: GameGraph, mu: Measure, v: int) -> int:
 
     Each edge (v, w) admits ``mu.target[w]`` and above.  Measured
     vertices need one admissible edge (min over targets), opponent
-    vertices all of them (max).
+    vertices all of them (max): ``mu.pick[g.owner[v]]``.
     """
-    targets = map(mu.target.__getitem__, g.succ[v])
-    best = min(targets) if g.owner[v] == mu.player else max(targets)
+    best = mu.pick[g.owner[v]](map(mu.get_target, g.succ[v]))
     old = mu.values[v]
     return best if best > old else old
 
@@ -359,8 +363,10 @@ def _worklist(
     ``counts`` is ``[lifts, changes]`` and gains this run's share.
     A vertex in no component counts as queued, so it is never lifted;
     `_decompose` shares one ``queued`` between rounds and resets it.
+    Each lift calls the module's `lift`, read once per run, so a wrapper
+    set in its place before a solve (perfbench's tracer) counts every lift.
     """
-    preds, priority = g.preds, g.priority
+    lift_one, preds, priority = lift, g.preds, g.priority
     values, target, rows = mu.values, mu.target, mu.rows
     top = mu.top
     # a vertex waiting for its component's turn counts as queued, so no
@@ -400,22 +406,22 @@ def _worklist(
                 counts[1] += changes
                 return i
             lifts += 1
-            new = lift(g, mu, v)
-            if new != old:
-                if not old < new:
-                    raise AssertionError("lift tried to decrease a value")
-                cached = rows[priority[v]].get(new)
-                if cached is None:
+            new = lift_one(g, mu, v)
+            if new > old:
+                t = rows[priority[v]].get(new)
+                if t is None:
                     mu.set(v, new)
+                    t = target[v]
                 else:  # `set`, inlined for a memo hit
                     values[v] = new
-                    target[v] = cached
+                    target[v] = t
                 changes += 1
-                t = target[v]
                 for u in preds[v]:
                     if not queued[u] and t > values[u]:
                         queued[u] = True
                         push(u)
+            elif new != old:
+                raise AssertionError("lift tried to decrease a value")
     counts[0] += lifts
     counts[1] += changes
     return None
@@ -554,18 +560,22 @@ def _decompose(
         subgames += len(sub) > 1
         s = 1
         while sub:
-            present = frozenset(priority[v] for v in sub)
+            priorities = list(map(priority.__getitem__, sub))
+            present = frozenset(priorities)
             if len(present) == len({p % 2 for p in present}):
                 b = max(present)
-                _buchi(g, set(sub), b, sum(priority[v] == b for v in sub), winner)
+                _buchi(g, set(sub), b, priorities.count(b), winner)
                 attract(sub)
                 break
-            rim = {w for v in sub for w in succ[v]}.difference(sub)
-            for p, size in _sides([priority[v] for v in sub], full_tree)[0]:
+            rim = set(itertools.chain.from_iterable(map(succ.__getitem__, sub))).difference(sub)
+            for p, size in _sides(priorities, full_tree)[0]:
                 m = Measure(g, p, min(s, size), (present, values, target))
                 top, strict = m.top, m.strict
-                for v in sub:  # as in a fresh `Measure`; what the other side won is at TOP
-                    values[v], target[v] = (0, strict[priority[v]]) if winner[v] < 0 else (top, top)
+                for v, q in zip(sub, priorities):  # as in a fresh `Measure`
+                    if winner[v] < 0:
+                        values[v], target[v] = 0, strict[q]
+                    else:  # what the other side won is at TOP
+                        values[v] = target[v] = top
                 for w in rim:
                     target[w] = top if winner[w] != p else 0
                 _worklist(g, m, [sub], policy, seed, tally, queued=queued)  # sub as one component
@@ -578,7 +588,7 @@ def _decompose(
                         winner[v] = p if values[v] != top else 1 - p
                         decided.append(v)
                 attract(decided)
-                if all(winner[v] >= 0 for v in sub):
+                if -1 not in map(winner.__getitem__, sub):  # all decided
                     break
             s *= 2
             sub = [v for v in sub if winner[v] < 0]
