@@ -9,8 +9,9 @@ climbs all the way to TOP, so a solve takes three steps, of which a
 one-level game, with at most one priority of each parity, skips the
 first two: the Buchi loop (`_buchi`) decides it whole.
 
-1. a probe lifts the measure for at most SLICE lifts (`_worklist`); a
-   game it finishes is done;
+1. a probe lifts the measure for at most SLICE lifts (`_worklist`), from
+   TOP at each vertex that its own strict self-loop puts at TOP in every
+   fixpoint (`_doomed_at_top`); a game it finishes is done;
 2. otherwise the components it finished are final, and the others are
    decided one at a time, on g's own vertex ids (`_decompose`);
 3. the vertices the measured player loses go to TOP, their value in the
@@ -28,7 +29,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mod
+from operator import contains, mod
 
 from .game import EVEN, ODD, GameError, GameGraph
 from .widths import halving_sizes
@@ -595,6 +596,18 @@ def _decompose(
     return winner, subgames, largest
 
 
+def _doomed_at_top(g: GameGraph, mu: Measure) -> None:
+    """Start at TOP each vertex with a strict self-loop (at the opponent's
+    parity) that is the opponent's, free to take it forever, or that is
+    the player's only move.  That edge needs the vertex's value strictly
+    above itself on its own prefix, so it is at TOP in every fixpoint, and
+    lifting from there reaches the same least fixpoint, minus the climb."""
+    succ = g.succ
+    for v in itertools.compress(range(g.n), map(contains, succ, range(g.n))):  # self-loops, in C
+        if mu.strict[g.priority[v]] and (g.owner[v] != mu.player or set(succ[v]) == {v}):
+            mu.values[v] = mu.target[v] = mu.top
+
+
 def solve(
     g: GameGraph,
     *,
@@ -624,6 +637,7 @@ def solve(
         rest = [_buchi(g, set(range(g.n)), b, g.priority.count(b), winner)[::-1]]
     else:
         components = _components(g)
+        _doomed_at_top(g, mu)
         start = _worklist(g, mu, components, worklist, seed, tally, SLICE)
         if start is not None:
             winner = [-1] * g.n

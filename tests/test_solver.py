@@ -350,21 +350,23 @@ def test_solves_never_write_the_shared_setup(monkeypatch):
 
 
 def test_vertex_consistent_does_not_read_the_memo(monkeypatch):
-    # Even measures over a one-level tree of width 2, and Odd's two levels
-    # send the game to the probe, which lifts Even's value at the
-    # self-loop of priority 1 from 0 -> 1 -> TOP (2).  A memo entry
-    # claiming that a strict edge into rank 1 admits 1 again stops the
-    # climb below TOP; the check, which computes afresh, sees the fault.
-    g = GameGraph([ODD, EVEN, EVEN], [1, 2, 4], [[0], [1], [2]], d=4)
+    # Even measures over a one-level tree of width 3, and Odd's two levels
+    # send the game to the probe, which lifts Even's values on the 2-cycle
+    # of priority 1 from 0 -> 1 -> 2 -> TOP (3): no self-loop starts them
+    # at TOP.  A memo entry claiming that a strict edge into rank 1 admits
+    # 1 again stops the climb below TOP; the check, which computes
+    # afresh, sees the fault.
+    g = GameGraph([ODD, ODD, EVEN, EVEN], [1, 1, 2, 4], [[1], [0], [2], [3]], d=4)
     mu = solve(g).measure
-    assert mu.player == EVEN and mu.values == [2, 0, 0] == [mu.top, 0, 0]
-    assert vertex_consistent(g, mu, 0)
-    poisoned = LeafRanks(1, 1)
+    assert mu.player == EVEN and mu.values == [3, 3, 0, 0] == [mu.top, mu.top, 0, 0]
+    assert vertex_consistent(g, mu, 0) and vertex_consistent(g, mu, 1)
+    poisoned = LeafRanks(2, 1)
     poisoned.memo[1][True][1] = 1
     monkeypatch.setattr(solver, "leaf_ranks", lambda size, height: poisoned)
     mu = solve(g).measure
-    assert mu.values == [1, 0, 0]
+    assert mu.values == [1, 1, 0, 0]
     assert not vertex_consistent(g, mu, 0)
+    assert not vertex_consistent(g, mu, 1)
 
 
 # -- strongly connected components -------------------------------------------
@@ -922,6 +924,81 @@ def test_rounds_build_no_graph(monkeypatch):
     assert r.regions == regions
 
 
+def doomed(g, player):
+    """The vertices a self-loop at the opponent's parity puts at TOP in
+    every fixpoint of player's measure: the opponent's, free to take the
+    loop forever, and player's with no other move."""
+    return {
+        v for v in range(g.n)
+        if v in g.succ[v] and g.priority[v] % 2 != player
+        and (g.owner[v] != player or set(g.succ[v]) == {v})
+    }
+
+
+def with_self_loops(g, rng):
+    """g with a self-loop added at about a third of its vertices, and in
+    place of the moves of about a sixth, some of them given twice."""
+    succ = []
+    for v, s in enumerate(g.succ):
+        x = rng.random()
+        succ.append([v] * rng.randint(1, 2) if x < 1 / 6 else [*s, v] if x < 1 / 2 else s)
+    return GameGraph(g.owner, g.priority, succ, d=g.d)
+
+
+def test_self_loop_start_keeps_the_least_fixpoint():
+    # the probe starts at TOP each vertex its strict self-loop dooms; the
+    # plain fixpoint, lifted from the least leaf everywhere as one
+    # component, has them at TOP as well, and every option reaches it
+    rng = random.Random(29)
+    games = [with_self_loops(g, rng) for g in seeded_games(150, (1, 40), (4, 6, 8), seed=31)]
+    games += [two_cycles(n) for n in (2, 40, 400)]
+    started = 0
+    for i, g in enumerate(games):
+        regions = zielonka(g)
+        for options in (dict(worklist="fifo"), dict(worklist="lifo"),
+                        dict(worklist="random", seed=i), dict(full_tree=True)):
+            r = solve(g, **options)
+            expected = whole_game_values(g, "full_tree" in options)
+            assert r.measure.values == expected
+            assert r.regions == regions
+            assert all(expected[v] == r.measure.top for v in doomed(g, r.stats.player))
+        if not one_level(g):
+            started += len(doomed(g, r.stats.player))
+    assert started >= 500, started
+
+
+def test_self_loops_decide_a_game_in_the_probe():
+    # its doomed vertices no longer climb to TOP one tree block at a time,
+    # so the probe finishes this game: 40 lifts, where climbing took 321
+    # and left one subgame to `_decompose`
+    g = random_game(29, 16, (1, 3), seed=9)
+    r = solve(g)
+    assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == (40, 27, 0)
+    assert r.regions == zielonka(g)
+
+
+def test_only_doomed_self_loops_start_at_top():
+    # Even measures (priorities 1, 2, 4).  Odd's 3 can loop on priority 1
+    # forever, and Even's 4 has no move but its loop, given twice: both
+    # start at TOP.  Even's 0 has a loop of priority 1 but moves to 1,
+    # which Even wins, and Odd's 5 loops on priority 2: neither starts there
+    g = GameGraph(
+        [EVEN, EVEN, ODD, ODD, EVEN, ODD, EVEN],
+        [1, 2, 4, 1, 1, 2, 4],
+        [[0, 1], [1], [2], [3, 1], [4, 4], [5, 0], [6]],
+        d=4,
+    )
+    mu = Measure(g, EVEN, 3)
+    solver._doomed_at_top(g, mu)
+    top = mu.top
+    assert mu.values == [0, 0, 0, top, top, 0, 0] and mu.target[3] == mu.target[4] == top
+    assert doomed(g, EVEN) == {3, 4}
+    r = solve(g)
+    assert r.stats.player == EVEN
+    assert r.regions == zielonka(g)
+    assert r.regions.odd == frozenset({3, 4})
+
+
 def ladder(k):
     """A Buchi ladder, one strongly connected component.  Odd's x0 loops
     on priority 1 and may jump to x_k; for i = 1..k, b_i of priority 2
@@ -1116,7 +1193,8 @@ def test_lift_calls_reconcile_through_the_decomposition(monkeypatch):
 
     monkeypatch.setattr(solver, "lift", counting)
     checked = 0
-    for i, g in enumerate(seeded_games(30, (32, 64), (8, 16), seed=83)):
+    # 55 of these 120 solves reach `_decompose`
+    for i, g in enumerate(seeded_games(40, (32, 64), (8, 16), seed=83)):
         for options in (dict(worklist="fifo"), dict(worklist="lifo"), dict(worklist="random", seed=i)):
             calls[0] = 0
             r = solve(g, **options)
@@ -1152,8 +1230,9 @@ def one_level(g):
 
 
 def test_change_count_bound():
-    # the probe lifts every vertex at least once; a one-level game sets
-    # the vertices the measured player loses to TOP, where none is lifted
+    # the probe lifts every vertex it does not start at TOP at least once;
+    # a one-level game sets the vertices the measured player loses to TOP,
+    # where none is lifted
     one = 0
     for g in seeded_games(200, (1, 10), (2, 4, 6), seed=47):
         r = solve(g)
@@ -1163,7 +1242,7 @@ def test_change_count_bound():
             assert r.stats.lifts >= len(won)
             one += 1
         else:
-            assert r.stats.lifts >= g.n
+            assert r.stats.lifts >= g.n - len(doomed(g, r.stats.player))
     assert 20 <= one <= 180
 
 
