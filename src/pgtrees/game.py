@@ -5,17 +5,20 @@ wins a play iff the highest priority occurring infinitely often is even.
 Owner code 0 means Even and 1 means Odd, matching the PGSolver convention.
 
 `parse_pgsolver` builds canonical text, the form `serialize_pgsolver` writes
-with ids 0..n-1 in order, in bulk from one token split.  Every other text, and
-canonical text that is not a valid game, is scanned record by record with one
+with ids 0..n-1 in order, in bulk from one `json.loads` of its records.  Every
+other text, canonical text that is not a valid game, and canonical text with a
+zero-padded number, which JSON refuses, is scanned record by record with one
 regex, which alone locates errors; the two give the same graph.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import sys
-from itertools import islice, repeat
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 EVEN = 0
@@ -177,26 +180,27 @@ def parse_pgsolver(text: str | bytes) -> GameGraph:
 
 
 def _parse_canonical(text: str) -> GameGraph | None:
-    """Build the game of canonical text column by column, with no loop per
-    record.  Returns None, leaving the text to the record scan, when it is not
-    canonical, its ids are not 0..n-1 in order, a successor is n or more, or a
-    number is past the digit limit."""
+    """Build the game of canonical text column by column from one `json.loads`
+    of its records, with no loop per record.  Returns None, leaving the text to
+    the record scan, when it is not canonical, JSON refuses a number (zero
+    padding such as ``01``, or past the digit limit), its ids are not 0..n-1 in
+    order, or a successor is n or more."""
     if not _CANONICAL_RE.fullmatch(text):
         return None
-    tokens = text.replace(";", " ").split()
-    if tokens[0] == "parity":
-        del tokens[:2]
-    ids, prios, owners, succs = tokens[0::4], tokens[1::4], tokens[2::4], tokens[3::4]
+    if text[0] == "p":
+        text = text.partition("\n")[2]
+    records = text.rstrip("\n")[:-1].replace(" ", ",").replace(";\n", "],[")
     try:
-        targets = list(map(int, ",".join(succs).split(",")))
-        if list(map(int, ids)) != list(range(len(ids))) or max(targets) >= len(ids):
-            return None
-        priorities, d = normalize_priorities(list(map(int, prios)))
-    except ValueError:  # a number past the digit limit
+        rows = json.loads("[[" + records + "]]")
+    except ValueError:
         return None
-    counts = map(len, map(str.split, succs, repeat(",")))
-    succ = tuple(map(tuple, map(islice, repeat(iter(targets)), counts)))
-    return GameGraph.__new__(GameGraph)._store(tuple(map(int, owners)), tuple(priorities), succ, d)
+    n = len(rows)
+    succ = tuple(map(tuple, map(itemgetter(slice(3, None)), rows)))
+    if list(map(itemgetter(0), rows)) != list(range(n)) or max(chain.from_iterable(succ)) >= n:
+        return None
+    priorities, d = normalize_priorities(list(map(itemgetter(1), rows)))
+    owner = tuple(map(itemgetter(2), rows))
+    return GameGraph.__new__(GameGraph)._store(owner, tuple(priorities), succ, d)
 
 
 def _parse_records(text: str) -> GameGraph:

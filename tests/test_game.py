@@ -155,9 +155,13 @@ def test_parse_builds_canonical_text_in_bulk_and_leaves_errors_to_the_scan(monke
             parse_pgsolver(text)
         assert str(info.value) == message, text
 
-    # serialized games never reach the record scan, and parse as through it
+    # serialized games never reach the record scan, and parse as through it;
+    # so does canonical text that the serializer never writes: a repeated
+    # successor, and a header with a last record and no final newline
     texts = [serialize_pgsolver(random_game(n, 4, (1, 3), seed=n)) for n in (1, 2, 9, 60)]
-    expected = [columns(parse_pgsolver(text)) for text in texts]
+    texts += ["0 1 0 0,0;\n", "parity 1;\n0 1 0 1,1;\n1 2 1 0,1,0;"]
+    expected = [columns(game._parse_records(text)) for text in texts]
+    assert expected[-2][4:] == (((0, 0),), ((0,),))
 
     class NoScan:
         def finditer(self, text):
@@ -197,6 +201,12 @@ def test_parse_leaves_canonical_text_with_other_ids_to_the_scan():
         "parity 1;\n1 5 1 0,1;\n0 2 0 1;",
     ):
         assert game._CANONICAL_RE.fullmatch(text), text
+        assert _columns(parse_pgsolver(text)) == _columns(game._parse_records(text))
+    # a zero-padded number is canonical text that JSON refuses, so the bulk
+    # path leaves it to the scan, which reads it as the unpadded number
+    for text in ("0 01 0 1;\n1 2 1 0;\n", "0 1 0 0,01;\n1 2 1 0;\n"):
+        assert game._CANONICAL_RE.fullmatch(text), text
+        assert game._parse_canonical(text) is None, text
         assert _columns(parse_pgsolver(text)) == _columns(game._parse_records(text))
     g = parse_pgsolver("2 1 0 0;\n0 2 1 1,2;\n1 3 0 2;\n")
     assert g.succ == ((1,), (2, 0), (0,))
