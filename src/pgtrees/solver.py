@@ -98,11 +98,12 @@ class LeafRanks:
     prefix of a is >= (or >) that of b" reads "a >= the first rank (or the
     end) of b's depth-k block".  A node of size m >= 1 is a padded
     universal subtree whose children are a stop branch and subtrees of the
-    sizes `trees.subtree_sizes(m)`, that is S(m // 2) + (m,) + S(m - 1 -
-    m // 2): the children of two halves around a size-m child one level
-    lower.  ``_blocks[m][t]`` counts the leaves below the non-stop children
-    of a size-m node of height t, for each size halving reaches (0 for an
-    empty half), so a rank's block takes one walk down the halves per level.
+    sizes S(m) of `trees.universal_tree`, that is S(m // 2) + (m,) + S(m -
+    1 - m // 2): the children of two halves around a size-m child one
+    level lower.  ``_blocks[m][t]`` counts the leaves below the non-stop
+    children of a size-m node of height t, for each size halving reaches
+    (0 for an empty half), so a rank's block takes one walk down the
+    halves per level.
 
     ``memo[k][strict]``, strict 0 or 1, maps a rank r to ``successor(r,
     k, strict)`` for every run over the tree.  A `Measure` holds the row of
@@ -770,9 +771,13 @@ def brute_force_solve(g: GameGraph) -> WinningRegions:
     """Enumerate Even's positional strategies; Even wins from v iff some
     strategy leaves no odd-dominated cycle reachable from v.
 
-    Positional determinacy licenses both the enumeration and reading the
-    Odd region as the complement.  Guarded: the product of Even-vertex
-    out-degrees must not exceed MAX_STRATEGIES.
+    One search, `reached`, does both steps under a strategy: it finds the
+    seeds, the vertices u of odd priority that return to u through
+    priorities at most u's, and then the vertices from which a seed is
+    reachable, which Even loses under that strategy.  Positional
+    determinacy licenses both the enumeration and reading the Odd region
+    as the complement.  Guarded: the product of Even-vertex out-degrees
+    must not exceed MAX_STRATEGIES.
     """
     n = g.n
     even_vertices = [v for v in range(n) if g.owner[v] == EVEN]
@@ -784,44 +789,28 @@ def brute_force_solve(g: GameGraph) -> WinningRegions:
                 f"too many positional strategies (> {MAX_STRATEGIES}); "
                 "brute force is limited to small instances"
             )
-    odd_priorities = sorted({p for p in g.priority if p % 2 == 1})
+
+    def reached(succ, start: int, allowed) -> set[int]:
+        # the vertices of allowed that start reaches in one or more moves
+        found: set[int] = set()
+        stack = [start]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w in allowed and w not in found:
+                    found.add(w)
+                    stack.append(w)
+        return found
+
+    prio = g.priority
+    below = {u: {w for w in range(n) if prio[w] <= prio[u]} for u in range(n) if prio[u] % 2}
     even_wins: set[int] = set()
     for choice in itertools.product(*(g.succ[v] for v in even_vertices)):
-        sub = [list(g.succ[v]) for v in range(n)]
+        succ = list(g.succ)
         for v, w in zip(even_vertices, choice):
-            sub[v] = [w]
-        # vertices of priority p lying on a cycle within priorities <= p
-        seeds = set()
-        for p in odd_priorities:
-            allowed = [v for v in range(n) if g.priority[v] <= p]
-            allowed_set = set(allowed)
-            for u in allowed:
-                if g.priority[u] != p:
-                    continue
-                stack = [w for w in sub[u] if w in allowed_set]
-                seen = set(stack)
-                hit = False
-                while stack:
-                    x = stack.pop()
-                    if x == u:
-                        hit = True
-                        break
-                    for y in sub[x]:
-                        if y in allowed_set and y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-                if hit:
-                    seeds.add(u)
-        # everything that can reach a seed loses for Even under this strategy
-        bad = set(seeds)
-        grew = True
-        while grew:
-            grew = False
-            for v in range(n):
-                if v not in bad and any(w in bad for w in sub[v]):
-                    bad.add(v)
-                    grew = True
-        even_wins.update(set(range(n)) - bad)
+            succ[v] = (w,)
+        seeds = {u for u, allowed in below.items() if u in reached(succ, u, allowed)}
+        # a seed reaches itself, so Even loses at it too
+        even_wins.update(v for v in range(n) if seeds.isdisjoint(reached(succ, v, range(n))))
     won = frozenset(even_wins)
     return WinningRegions(even=won, odd=frozenset(range(n)) - won)
 

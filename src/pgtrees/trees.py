@@ -6,8 +6,8 @@ number of leaves.  Leaves are addressed by root-to-leaf child-index paths
 
 `universal_tree(n, h)` builds a tree of height h into which every ordered
 tree of height h and width at most n embeds; its width is exactly
-`widths.width_recursive(n, h)`.  Its shape is one split rule,
-`subtree_sizes`, which the solver's leaf ranks follow as well.
+`widths.width_recursive(n, h)`.  Its shape is one split rule, the child
+sizes S(m) of its docstring, which the solver's leaf ranks follow as well.
 `enumerate_trees` builds its candidates height by height too, without the
 checking constructor: a node's children come from the list one height
 below, and its width is its row's running width.  `embeds` matches
@@ -21,6 +21,8 @@ Trees compare by identity; their shapes compare by `to_text()`, which
 from __future__ import annotations
 
 from typing import Iterator
+
+from .widths import halving_sizes
 
 
 class OrderedTree:
@@ -103,24 +105,16 @@ def leaf_count(t: OrderedTree | None) -> int:
     return 0 if t is None else t.width
 
 
-def subtree_sizes(m: int) -> tuple[int, ...]:
-    """S(m): sizes of the universal subtrees below a size-m node, in order.
-
-    S(0) is empty and S(m) = S(m // 2) + (m,) + S(m - 1 - m // 2): the
-    children of the size-(m // 2) half, one child of size m a level
-    lower, then the children of the other half.  So a size-m node has m
-    children.  The recursion is over sizes, about log2(m) deep.
-    """
-    if m == 0:
-        return ()
-    return subtree_sizes(m // 2) + (m,) + subtree_sizes(m - 1 - m // 2)
-
-
 def universal_tree(n: int, h: int) -> OrderedTree | None:
     """Tree of height h embedding every ordered tree of height h, width <= n.
 
     The root has size n, and a size-m node of height t >= 1 has one child
-    of height t - 1 for each size in `subtree_sizes(m)`.  The tree is
+    of height t - 1 for each size in S(m), where S(0) is empty and
+    S(m) = S(m // 2) + (m,) + S(m - 1 - m // 2): the children of the
+    size-(m // 2) half, one child of size m a level lower, then the
+    children of the other half.  So a size-m node has m children.  The
+    sizes in S(n) are those `widths.halving_sizes(n)` lists, halves first,
+    so each S(m) is joined from its halves' in one walk.  The tree is
     built height by height, one node per size at each height, so equal
     subtrees are shared and the result must be treated as read-only.
     n=0 gives the empty tree (None); h=0 gives a single leaf node.
@@ -129,8 +123,10 @@ def universal_tree(n: int, h: int) -> OrderedTree | None:
         raise ValueError("n and h must be nonnegative")
     if n == 0:
         return None
-    # S(n) holds n itself and, by induction, every size below it
-    kids = {m: subtree_sizes(m) for m in set(subtree_sizes(n))}
+    kids = {0: ()}
+    for m in halving_sizes(n):  # halves are smaller, so their tuples are ready
+        kids[m] = kids[m // 2] + (m,) + kids[m - 1 - m // 2]
+    del kids[0]
     level = dict.fromkeys(kids, OrderedTree())
     for _ in range(h):
         level = {m: OrderedTree([level[s] for s in sizes]) for m, sizes in kids.items()}

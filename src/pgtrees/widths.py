@@ -33,8 +33,8 @@ def ceil_log2(n: int) -> int:
 def halving_sizes(n: int) -> list[int]:
     """The positive sizes that splitting n, and each part in turn, into
     its halves m // 2 and m - 1 - m // 2 reaches, n included, ascending:
-    about 2 log2(n) of them, found without listing the n of
-    `trees.subtree_sizes`."""
+    about 2 log2(n) of them, the distinct entries of the n child sizes
+    S(n) of `trees.universal_tree`, found without listing S(n)."""
     reached, stack = set(), [n]
     while stack:
         m = stack.pop()

@@ -4,18 +4,21 @@ None of these is used by the package itself.  `reference_parse_pgsolver`
 reads PGSolver text in two steps: a tokenizer splits the text into
 comment-free records at each ';' outside a name, then each record is
 matched against a vertex grammar; `game.parse_pgsolver` does both in one
-regex scan and must agree with it on every text.  `recursive_universal_tree`
-is the universal tree's defining recursion, which `trees.universal_tree`
-computes height by height; `recursive_enumerate_trees` enumerates trees
-by recursion over the root's children, which `trees.enumerate_trees`
-does height by height; `dp_embeds` decides embedding by a two-index
-dynamic program, where `trees.embeds` matches children greedily;
-`with_stop_branches` builds the padded tree whose leaves
-`solver.LeafRanks` numbers without building it, and `padded_width` counts
-those leaves height by height, where `LeafRanks` sums block rows over the
-halves of each size; `leaf_paths` lists a tree's leaves; `finishing_order`
-is the depth-first search over predecessors whose order
-`solver._components` lists each component in;
+regex scan and must agree with it on every text.  `subtree_sizes` lists
+S(m), the child sizes of a size-m node of `trees.universal_tree`, by
+their recursion, where `trees.universal_tree` joins them over the halving
+sizes.  `recursive_universal_tree` is the universal tree's defining
+recursion, which `trees.universal_tree` computes height by height;
+`recursive_enumerate_trees` enumerates trees by recursion over the root's
+children, which `trees.enumerate_trees` does height by height;
+`dp_embeds` decides embedding by a two-index dynamic program, where
+`trees.embeds` matches children greedily; `with_stop_branches` builds the
+padded tree whose leaves `solver.LeafRanks` numbers without building it,
+and `padded_width` counts those leaves height by height over
+`subtree_sizes`, where `LeafRanks` sums block rows over the halves of
+each size; `leaf_paths` lists a tree's leaves; `finishing_order` is the
+depth-first search over predecessors whose order `solver._components`
+lists each component in;
 `measure_setup` builds a `solver.Measure`'s per-priority tables and first
 targets from the game's vertices, where the solver reads the tables from a
 cache keyed by the priorities present.
@@ -31,7 +34,7 @@ from typing import Iterator
 
 from pgtrees import solver
 from pgtrees.game import EVEN, GameGraph, ParseError, normalize_priorities
-from pgtrees.trees import OrderedTree, subtree_sizes
+from pgtrees.trees import OrderedTree
 
 # One vertex record: id, priority, owner, comma separated successors and an
 # optional quoted name.  The ';' terminator is stripped before matching.
@@ -112,6 +115,13 @@ def reference_parse_pgsolver(text: str) -> GameGraph:
         succ_lists.append([index[s] for s in succs])
     priorities, d = normalize_priorities(raw_prios)
     return GameGraph(owners, priorities, succ_lists, d=d)
+
+
+def subtree_sizes(m: int) -> tuple[int, ...]:
+    """S(m), as defined in `trees.universal_tree`."""
+    if m == 0:
+        return ()
+    return subtree_sizes(m // 2) + (m,) + subtree_sizes(m - 1 - m // 2)
 
 
 @lru_cache(maxsize=None)

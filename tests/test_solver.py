@@ -195,7 +195,7 @@ def test_rank_width_matches_the_defining_recursion():
 
 def test_rank_rows_reach_their_sizes_by_halving():
     # the sizes below a million are found by about 40 halvings, not by
-    # listing the million entries of subtree_sizes: 16.1 MB that way
+    # listing the million entries of S(10**6): 16.1 MB that way
     tracemalloc.start()
     try:
         LeafRanks(10**6, 8)
@@ -1327,25 +1327,32 @@ def test_forced_play_games_closed_form():
         assert zielonka(g).even == expected
 
 
-def test_exhaustive_tiny_games():
-    # every game with n <= 3 and priorities in 1..4: all owner assignments,
-    # all priority vectors, all nonempty successor sets
-    import itertools
-
-    checked = 0
-    for n in (1, 2, 3):
-        vertices = list(range(n))
-        succ_options = [
-            s for r in range(1, n + 1) for s in itertools.combinations(vertices, r)
-        ]
+def tiny_games(sizes):
+    # every game with n in sizes and priorities in 1..4: all owner
+    # assignments, all priority vectors, all nonempty successor sets
+    for n in sizes:
+        succ_options = [s for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
         for priorities in itertools.product(range(1, 5), repeat=n):
             d = max(priorities) + (max(priorities) % 2)
             for owners in itertools.product((EVEN, ODD), repeat=n):
                 for succs in itertools.product(succ_options, repeat=n):
-                    g = GameGraph(owners, priorities, succs, d=d)
-                    assert solve(g).regions == zielonka(g), (owners, priorities, succs)
-                    checked += 1
+                    yield GameGraph(owners, priorities, succs, d=d)
+
+
+def test_exhaustive_tiny_games():
+    checked = 0
+    for g in tiny_games((1, 2, 3)):
+        assert solve(g).regions == zielonka(g), (g.owner, g.priority, g.succ)
+        checked += 1
     assert checked == 176_200
+
+
+def test_brute_force_agrees_with_zielonka_on_every_tiny_game():
+    checked = 0
+    for g in tiny_games((1, 2)):
+        assert brute_force_solve(g) == zielonka(g), (g.owner, g.priority, g.succ)
+        checked += 1
+    assert checked == 584
 
 
 def test_structured_families():

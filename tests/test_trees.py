@@ -22,6 +22,7 @@ from reference import (
     leaf_paths,
     recursive_enumerate_trees,
     recursive_universal_tree,
+    subtree_sizes,
     with_stop_branches,
 )
 
@@ -102,6 +103,18 @@ def test_construct_matches_recursive_reference():
             t = universal_tree(n, h)
             want = recursive_universal_tree(n, h)
             assert t.to_text() == want.to_text(), (n, h)
+
+
+def test_construct_wide_roots_follow_the_reference_sizes():
+    # the root's children, left to right, have the sizes S(n), at roots far
+    # wider than test_construct_matches_recursive_reference builds
+    for n in (100, 1000, 4097):
+        for h in (1, 2):
+            t = universal_tree(n, h)
+            assert t.arity == n
+            assert leaf_count(t) == width_recursive(n, h)
+            widths = [c.width for c in t.children]
+            assert widths == [width_recursive(s, h - 1) for s in subtree_sizes(n)], (n, h)
 
 
 def test_construct_deep_trees():
