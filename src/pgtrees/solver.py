@@ -106,10 +106,12 @@ class LeafRanks:
     halves per level.
 
     ``memo[k][strict]``, strict 0 or 1, maps a rank r to ``successor(r,
-    k, strict)`` for every run over the tree.  A `Measure` holds the row of
-    each priority present (``rows``), and `Measure.set` fills it, with at
-    most MEMO_CAP entries in all (``entries``): the 256 trees `leaf_ranks`
-    caches hold at most 256 * MEMO_CAP however many games are solved.
+    k, strict)`` for every run over the tree.  Each row starts holding
+    TOP -> TOP, TOP's own target, which ``entries`` does not count.  A
+    `Measure` holds the row of each priority present (``rows``), and
+    `_worklist` fills it, with at most MEMO_CAP counted entries in all
+    (``entries``): the 256 trees `leaf_ranks` caches hold at most 256 *
+    MEMO_CAP however many games are solved.
     The `Measure` set-up cache (`_setup`) keeps no tree, so no tree that
     `leaf_ranks` has dropped outlives the measures over it.
     """
@@ -129,7 +131,8 @@ class LeafRanks:
         self.height = height
         self.width = blocks[size][height] + 1
         self._blocks = blocks
-        self.memo = [({}, {}) for _ in range(height + 1)]
+        top = self.width
+        self.memo = [({top: top}, {top: top}) for _ in range(height + 1)]
         self.entries = 0
 
     def successor(self, r: int, k: int, strict: bool) -> int:
@@ -145,8 +148,6 @@ class LeafRanks:
             raise ValueError(f"{r!r} is not a leaf rank below {self.width}")
         if not 0 <= k <= self.height:
             raise ValueError(f"prefix length {k} outside 0..{self.height}")
-        if k == self.height:
-            return r + strict
         blocks = self._blocks
         m, base = self.size, 0
         for t in range(self.height, self.height - k, -1):
@@ -201,7 +202,7 @@ class Measure:
     every strict update over w computes the same least leaf strictly above
     mu(w) at w's prefix length, so at most one fresh branch circulates per
     opponent-parity vertex.  It also makes the least value an edge into w
-    admits depend on w alone: ``target[w]``, which `set` keeps in step.
+    admits depend on w alone: ``target[w]``, kept in step by `_worklist`.
 
     ``values`` and ``target`` are the only per-vertex state.  Prefix
     length, strictness and memo row depend on a vertex's priority p alone
@@ -250,24 +251,6 @@ class Measure:
             return r
         p = self.priority[w]
         return self.ranks.successor(r, self.k[p], self.strict[p])
-
-    def set(self, v: int, value: int) -> None:
-        """Give v a new value and refresh its cached target.
-
-        The target is read from the memo row of v's priority p
-        (``rows[p]``); a miss computes it and stores it while the tree
-        holds fewer than MEMO_CAP entries.
-        """
-        self.values[v] = value
-        row = self.rows[self.priority[v]]
-        target = row.get(value)
-        if target is None:
-            target = self.fresh_target(v)
-            ranks = self.ranks
-            if value != self.top and ranks.entries < MEMO_CAP:
-                row[value] = target
-                ranks.entries += 1
-        self.target[v] = target
 
 
 def edge_consistent(g: GameGraph, mu: Measure, v: int, w: int) -> bool:
@@ -356,7 +339,10 @@ def _worklist(
     last vertex, the one `_components`' first search finished last, which
     every other vertex of the component reaches; so a vertex tends to
     follow those it reaches.  FIFO and a ``seed``-ed random order remain
-    for testing.  A change at v queues only the predecessors u that v's
+    for testing.  A change at v reads v's new target from the memo row of
+    its priority, the one place a lifted value's target is written; a miss
+    is computed and stored while the tree holds fewer than MEMO_CAP
+    counted entries.  The change queues only the predecessors u that v's
     new target exceeds.  A vertex off the queue is consistent, and such a
     u stays so.  An opponent vertex needs every target at most its value,
     and only v's moved.  A measured vertex needs one, and v's new target
@@ -369,7 +355,7 @@ def _worklist(
     set in its place before a solve (perfbench's tracer) counts every lift.
     """
     lift_one, preds, priority = lift, g.preds, g.priority
-    values, target, rows = mu.values, mu.target, mu.rows
+    values, target, rows, ranks = mu.values, mu.target, mu.rows, mu.ranks
     top = mu.top
     # a vertex waiting for its component's turn counts as queued, so no
     # change below it pushes it early
@@ -411,12 +397,13 @@ def _worklist(
             new = lift_one(g, mu, v)
             if new > old:
                 t = rows[priority[v]].get(new)
-                if t is None:
-                    mu.set(v, new)
-                    t = target[v]
-                else:  # `set`, inlined for a memo hit
-                    values[v] = new
-                    target[v] = t
+                values[v] = new
+                if t is None:  # a miss, stored while the tree holds fewer than MEMO_CAP entries
+                    t = mu.fresh_target(v)
+                    if ranks.entries < MEMO_CAP:
+                        rows[priority[v]][new] = t
+                        ranks.entries += 1
+                target[v] = t
                 changes += 1
                 for u in preds[v]:
                     if not queued[u] and t > values[u]:
@@ -651,7 +638,7 @@ def solve(
     if winner is not None:
         values, target, top = mu.values, mu.target, mu.top
         for v in itertools.compress(range(g.n), map(player.__ne__, winner)):
-            values[v] = target[v] = top  # `set` at TOP, whose target is TOP
+            values[v] = target[v] = top  # TOP's target is TOP
         _worklist(g, mu, rest, worklist, seed, tally)
         # the completion would silently repair a vertex wrongly given to the
         # measured player by its climb to TOP, where only the lost ones were put

@@ -43,6 +43,12 @@ def seeded_games(count, n_range, d_choices, seed):
         yield random_game(n, d, (1, rng.randint(1, 3)), seed=rng.getrandbits(48))
 
 
+def put(mu, v, value):
+    """Give v a value and the target it implies, past the memo."""
+    mu.values[v] = value
+    mu.target[v] = mu.fresh_target(v)
+
+
 # -- prefix lengths ----------------------------------------------------------
 
 
@@ -224,26 +230,51 @@ def test_target_cache_matches_values(monkeypatch):
         assert start.target == [start.fresh_target(w) for w in range(g.n)]
     assert any(ranks.entries for ranks in trees.values())
     for ranks in trees.values():
+        top = ranks.width
         entries = 0
         for k, rows in enumerate(ranks.memo):
             for strict, row in enumerate(rows):
-                entries += len(row)
+                assert row[top] == top  # TOP's seed, not counted
+                entries += len(row) - 1
                 for r, target in row.items():
-                    assert target == ranks.successor(r, k, strict)
+                    if r != top:
+                        assert target == ranks.successor(r, k, strict)
         assert entries == ranks.entries <= MEMO_CAP
 
 
 def test_memo_stays_within_its_cap(monkeypatch):
-    # a tree of 28.8 million leaves, each vertex set to many distinct ranks
+    # a tree of 28.8 million leaves, lifted over by the worklist, which
+    # owns the cap, through some 229,000 changes to many distinct ranks
     monkeypatch.setattr(solver, "leaf_ranks", LeafRanks)
     g = random_game(200, 16, (1, 3), seed=1)
     mu = Measure(g, EVEN, 1000)
-    rng = random.Random(3)
-    for _ in range(3 * MEMO_CAP):
-        mu.set(rng.randrange(g.n), rng.randrange(mu.top))
+    assert _worklist(g, mu, _components(g), "lifo", 0, [0, 0]) is None
     assert mu.ranks.entries == MEMO_CAP
-    assert sum(len(row) for rows in mu.ranks.memo for row in rows) == MEMO_CAP
+    # less TOP's seed in each row
+    assert sum(len(row) - 1 for rows in mu.ranks.memo for row in rows) == MEMO_CAP
     assert mu.target == [mu.fresh_target(w) for w in range(g.n)]
+
+
+def test_warm_resolve_makes_no_memo_miss(monkeypatch):
+    # every target a second solve of the same games asks for is in the
+    # memo, TOP's among them, so no change computes one; fresh trees keep
+    # earlier tests from having filled a shared memo to its cap
+    monkeypatch.setattr(solver, "leaf_ranks", functools.lru_cache(maxsize=256)(LeafRanks))
+    games = [random_game(40 + i, 16, (1, 3), seed=i) for i in range(20)]
+    games += [random_game(200, 2, (1, 3), seed=i) for i in range(5)]
+    for g in games:
+        solve(g)
+    misses = []
+    fresh_target = Measure.fresh_target
+
+    def counted(mu, w):
+        misses.append(w)
+        return fresh_target(mu, w)
+
+    monkeypatch.setattr(Measure, "fresh_target", counted)
+    for g in games:
+        solve(g)
+    assert misses == []
 
 
 def test_path_game_memory_grows_linearly(monkeypatch):
@@ -439,7 +470,7 @@ def test_edge_condition_self_loop_examples():
     mu = Measure(g, EVEN, 1)
     assert mu.values[0] == 0
     assert not edge_consistent(g, mu, 0, 0)
-    mu.set(0, mu.top - 1)  # the last leaf
+    put(mu, 0, mu.top - 1)  # the last leaf
     assert not edge_consistent(g, mu, 0, 0)
 
     # priority 2 self-loop: empty prefix, vacuously consistent
@@ -448,7 +479,7 @@ def test_edge_condition_self_loop_examples():
     assert edge_consistent(g2, mu2, 0, 0)
 
     # top value dominates everything
-    mu.set(0, mu.top)
+    put(mu, 0, mu.top)
     assert edge_consistent(g, mu, 0, 0)
 
 
@@ -459,7 +490,7 @@ def test_lift_self_loop_examples():
     mu = Measure(g, EVEN, 1)
     assert mu.top == 2
     assert lift(g, mu, 0) == 1
-    mu.set(0, 1)
+    put(mu, 0, 1)
     assert lift(g, mu, 0) == mu.top
 
     g2 = GameGraph([EVEN], [2], [[0]], d=2)
@@ -475,7 +506,7 @@ def test_lift_never_decreases_on_random_states():
         ranks = solve(g).measure.ranks
         mu = Measure(g, player, ranks.size)
         for v in range(g.n):
-            mu.set(v, rng.randrange(ranks.width + 1))  # a leaf rank or TOP
+            put(mu, v, rng.randrange(ranks.width + 1))  # a leaf rank or TOP
         for v in range(g.n):
             assert not lift(g, mu, v) < mu.values[v]
 
@@ -634,7 +665,7 @@ def round_robin_values(g):
         for v in range(g.n):
             new = lift(g, mu, v)
             if new != mu.values[v]:
-                mu.set(v, new)
+                put(mu, v, new)
                 changed = True
     return mu.values
 
