@@ -9,11 +9,14 @@ climbs all the way to TOP, so a solve takes three steps, of which a
 one-level game, with at most one priority of each parity, skips the
 first two: the Buchi loop (`_buchi`) decides it whole.
 
-1. a probe lifts the measure for at most SLICE lifts (`_worklist`), from
-   TOP at each vertex that its own strict self-loop puts at TOP in every
-   fixpoint (`_doomed_at_top`); a game it finishes is done;
-2. otherwise the components it finished are final, and the others are
-   decided one at a time, on g's own vertex ids (`_decompose`);
+1. a probe lifts the measure for at most SLICE lifts (`_worklist`), in
+   the finishing order of a search over predecessors (`_finish_order`),
+   from TOP at each vertex that its own strict self-loop puts at TOP in
+   every fixpoint (`_doomed_at_top`); a game it finishes is done;
+2. otherwise g is split into strongly connected components, sinks first
+   (`_components`); those before the first holding a vertex the probe
+   left to lift are final, and the others are decided one at a time, on
+   g's own vertex ids (`_decompose`);
 3. the vertices the measured player loses go to TOP, their value in the
    least fixpoint, and one completion run lifts the rest up to it.
 
@@ -273,26 +276,18 @@ def lift(g: GameGraph, mu: Measure, v: int) -> int:
     return best if best > old else old
 
 
-def _components(g: GameGraph) -> list[list[int]]:
-    """Strongly connected components of g, sinks first, each in the order
-    its vertices finish the first of Kosaraju's two searches (Sharir 1981).
-
-    The first search walks ``g.preds`` from the vertices in ascending
-    order.  `GameGraph` lists each predecessor once, ascending, whatever
-    the successor lists hold, so the finishing order, and with it the
-    output, does not depend on the order of a successor list; a stack of
-    iterators spares long paths Python recursion.  The second takes the
-    vertices latest finished first, and each one not yet placed floods the
-    unplaced vertices it reaches over ``g.succ``.  Any other component it
-    reaches holds a vertex finished later, an edge into a component being
-    one out of it in the first search, so it is placed already: the flood
-    takes exactly its component, and the sinks come first.
-    """
-    n = g.n
-    succ, preds = g.succ, g.preds
-    found = [False] * n
-    order = []  # finishing order
-    for root in range(n):
+def _finish_order(g: GameGraph) -> list[int]:
+    """Every vertex of g in the order it finishes the first of Kosaraju's
+    two searches (Sharir 1981), which walks ``g.preds`` from the vertices
+    in ascending order.  `GameGraph` lists each predecessor once,
+    ascending, whatever the successor lists hold, so this order, and the
+    components built from it, do not depend on the order of a successor
+    list; a stack of iterators spares long paths Python recursion.  The
+    vertex finished last lies in a sink component of g."""
+    preds = g.preds
+    found = [False] * g.n
+    order = []
+    for root in range(g.n):
         if found[root]:
             continue
         found[root] = True
@@ -307,7 +302,22 @@ def _components(g: GameGraph) -> list[list[int]]:
             else:
                 frames.pop()
                 order.append(v)
-    place: list[list[int] | None] = [None] * n  # each vertex's component
+    return order
+
+
+def _components(g: GameGraph, order: list[int]) -> list[list[int]]:
+    """Strongly connected components of g, sinks first, each in ``order``,
+    the finishing order of `_finish_order`: Kosaraju's second search.
+
+    It takes the vertices latest finished first, and each one not yet
+    placed floods the unplaced vertices it reaches over ``g.succ``.  Any
+    other component it reaches holds a vertex finished later, an edge into
+    a component being one out of it in the first search, so it is placed
+    already: the flood takes exactly its component, and the sinks come
+    first.
+    """
+    succ = g.succ
+    place: list[list[int] | None] = [None] * g.n  # each vertex's component
     components = []
     for v in reversed(order):
         if place[v] is None:
@@ -327,26 +337,29 @@ def _components(g: GameGraph) -> list[list[int]]:
 def _worklist(
     g: GameGraph, mu: Measure, components: list, policy: str, seed: int, counts: list,
     limit: int | None = None, queued: list | None = None,
-) -> int | None:
+) -> list | None:
     """Lift mu to its least fixpoint above its current values and return
-    None; or stop once ``limit`` lifts are made and return the index of
-    the component holding the next vertex it would lift.
+    None; or stop once ``limit`` lifts are made and return the vertices
+    still to lift: the one it would lift next, the queue and the
+    components not yet started.
 
     `lift` never lowers a value, so every order reaches that fixpoint;
     the order sets only the lift count.  A lift reads only successors, so
     each of ``components``, sinks first, is lifted to its fixpoint before
-    the next.  A component starts as the queue, and LIFO lifts first its
-    last vertex, the one `_components`' first search finished last, which
-    every other vertex of the component reaches; so a vertex tends to
-    follow those it reaches.  FIFO and a ``seed``-ed random order remain
-    for testing.  A change at v reads v's new target from the memo row of
-    its priority, the one place a lifted value's target is written; a miss
-    is computed and stored while the tree holds fewer than MEMO_CAP
-    counted entries.  The change queues only the predecessors u that v's
-    new target exceeds.  A vertex off the queue is consistent, and such a
-    u stays so.  An opponent vertex needs every target at most its value,
-    and only v's moved.  A measured vertex needs one, and v's new target
-    serves if its old one did.
+    the next; `solve`'s probe passes all of g as one list, `_finish_order`,
+    so its components interleave.  LIFO lifts first the last vertex of a
+    list, the one finished last, which every vertex the first search found
+    from it reaches; so a vertex tends to follow those it reaches.  FIFO
+    and a ``seed``-ed random order remain for testing.  A change at v reads v's
+    new target from the memo row of its priority, the one place a lifted
+    value's target is written; a miss is computed and stored while the
+    tree holds fewer than MEMO_CAP counted entries.  The change queues
+    only the predecessors u that v's new target exceeds.  A vertex off the
+    queue is consistent, and such a u stays so.  An opponent vertex needs
+    every target at most its value, and only v's moved.  A measured vertex
+    needs one, and v's new target serves if its old one did.  So after a
+    stop, a set of vertices closed under successors and holding none of
+    those returned is at the least fixpoint above where the run started.
 
     ``counts`` is ``[lifts, changes]`` and gains this run's share.
     A vertex in no component counts as queued, so it is never lifted;
@@ -392,7 +405,7 @@ def _worklist(
             if lifts == limit:
                 counts[0] += lifts
                 counts[1] += changes
-                return i
+                return [v, *queue, *itertools.chain(*components[i + 1:])]
             lifts += 1
             new = lift_one(g, mu, v)
             if new > old:
@@ -624,10 +637,12 @@ def solve(
         b = max(mu.k)
         rest = [_buchi(g, set(range(g.n)), b, g.priority.count(b), winner)[::-1]]
     else:
-        components = _components(g)
+        order = _finish_order(g)
         _doomed_at_top(g, mu)
-        start = _worklist(g, mu, components, worklist, seed, tally, SLICE)
-        if start is not None:
+        pending = _worklist(g, mu, [order], worklist, seed, tally, SLICE)
+        if pending is not None:
+            components, pending = _components(g, order), set(pending)
+            start = next(i for i, c in enumerate(components) if not pending.isdisjoint(c))
             winner = [-1] * g.n
             for v in itertools.chain(*components[:start]):  # final in mu
                 winner[v] = player if mu.values[v] != mu.top else 1 - player

@@ -17,8 +17,9 @@ padded tree whose leaves `solver.LeafRanks` numbers without building it,
 and `padded_width` counts those leaves height by height over
 `subtree_sizes`, where `LeafRanks` sums block rows over the halves of
 each size; `leaf_paths` lists a tree's leaves; `finishing_order` is the
-depth-first search over predecessors whose order `solver._components`
-lists each component in;
+depth-first search over predecessors whose order `solver._finish_order`
+computes, the probe's queue, and `solver._components` lists each
+component in;
 `measure_setup` builds a `solver.Measure`'s per-priority tables and first
 targets from the game's vertices, where the solver reads the tables from a
 cache keyed by the priorities present.

@@ -21,6 +21,7 @@ from pgtrees.solver import (
     WinningRegions,
     _bits,
     _components,
+    _finish_order,
     _worklist,
     brute_force_solve,
     edge_consistent,
@@ -41,6 +42,11 @@ def seeded_games(count, n_range, d_choices, seed):
         n = rng.randint(*n_range)
         d = rng.choice(d_choices)
         yield random_game(n, d, (1, rng.randint(1, 3)), seed=rng.getrandbits(48))
+
+
+def sccs(g):
+    """g's strongly connected components as `solve` splits them, sinks first."""
+    return _components(g, _finish_order(g))
 
 
 def put(mu, v, value):
@@ -248,7 +254,7 @@ def test_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(solver, "leaf_ranks", LeafRanks)
     g = random_game(200, 16, (1, 3), seed=1)
     mu = Measure(g, EVEN, 1000)
-    assert _worklist(g, mu, _components(g), "lifo", 0, [0, 0]) is None
+    assert _worklist(g, mu, sccs(g), "lifo", 0, [0, 0]) is None
     assert mu.ranks.entries == MEMO_CAP
     # less TOP's seed in each row
     assert sum(len(row) - 1 for rows in mu.ranks.memo for row in rows) == MEMO_CAP
@@ -414,22 +420,26 @@ def reachable(g, v):
 
 
 def test_components_are_mutual_reachability_classes_sinks_first():
-    # the lift counts rest on the exact order: each component lists its
-    # vertices in increasing finishing index of the search over
-    # predecessors, and the components come in decreasing finishing index
-    # of their last vertex.  A repeated successor changes neither, and a
-    # shuffled successor list changes nothing at all
+    # the lift counts rest on the exact order: the probe's queue is the
+    # finishing order of the search over predecessors, each component
+    # lists its vertices in increasing finishing index, and the components
+    # come in decreasing finishing index of their last vertex.  A repeated
+    # successor changes none of these, and a shuffled successor list
+    # changes nothing at all
     rng = random.Random(83)
     games = 0
     for g in seeded_games(600, (1, 12), (2, 4, 6), seed=83):
         repeated = GameGraph(g.owner, g.priority, [s + s[::-1] for s in g.succ], d=g.d)
         shuffled = GameGraph(g.owner, g.priority, [rng.sample(s, len(s)) for s in g.succ], d=g.d)
-        assert _components(shuffled) == _components(g)
+        assert _finish_order(shuffled) == _finish_order(g)
+        assert sccs(shuffled) == sccs(g)
         for h in (g, repeated):
-            components = _components(h)
+            order = _finish_order(h)
+            assert order == finishing_order(h.succ)
+            components = _components(h, order)
             assert sorted(v for c in components for v in c) == list(range(h.n))
             reach = [reachable(h, v) for v in range(h.n)]
-            finish = {v: i for i, v in enumerate(finishing_order(h.succ))}
+            finish = {v: i for i, v in enumerate(order)}
             last = [finish[c[-1]] for c in components]
             assert last == sorted(last, reverse=True)
             position = {}
@@ -454,7 +464,7 @@ def test_solve_long_path_without_recursion():
     n = 20_000
     succ = [[v + 1] for v in range(n - 1)] + [[n - 1]]
     g = GameGraph([EVEN] * n, [v % 4 + 1 for v in range(n)], succ, d=4)
-    assert len(_components(g)) == n
+    assert len(sccs(g)) == n
     r = solve(g)
     assert r.regions.even == frozenset(range(n))
     assert r.stats.lifts == n
@@ -644,7 +654,7 @@ def test_eta_sized_tree_is_tight():
 
         def region(size):
             mu = Measure(g, player, size)
-            _worklist(g, mu, _components(g), "lifo", 0, [0, 0])
+            _worklist(g, mu, sccs(g), "lifo", 0, [0, 0])
             return {v for v in range(n) if mu.values[v] != mu.top}
 
         assert region(eta) == exact, i
@@ -761,8 +771,11 @@ def whole_game_values(g, full_tree=False):
 
 def test_worklist_limit_stops_before_the_next_lift(monkeypatch):
     # a run limited to k lifts makes the first k lifts of the unlimited
-    # run and returns the component of the (k + 1)-th; a run over the
-    # components from there on reaches the unlimited run's fixpoint
+    # run and returns exactly the vertices still queued, the (k + 1)-th
+    # lifted among them.  The components before the first holding one of
+    # them carry the unlimited run's fixpoint already, and a run over the
+    # components from there on reaches it.  Runs go over the probe's one
+    # list or over the components, which then queue one at a time
     lifted = []
 
     def recording(g, mu, v):
@@ -770,26 +783,114 @@ def test_worklist_limit_stops_before_the_next_lift(monkeypatch):
         return lift(g, mu, v)
 
     monkeypatch.setattr(solver, "lift", recording)
-    checked = 0
+    checked = final = 0
     for i, g in enumerate(seeded_games(40, (10, 60), (2, 4, 6, 8), seed=71)):
-        components = _components(g)
+        order = _finish_order(g)
+        components = _components(g, order)
+        lists = [order] if i % 2 else components
         policy = WORKLIST_POLICIES[i % 3]
         lifted.clear()
         mu, counts = fresh_measure(g), [0, 0]
-        assert _worklist(g, mu, components, policy, i, counts) is None
+        assert _worklist(g, mu, lists, policy, i, counts) is None
         assert counts[0] == len(lifted)
         full, expected = list(lifted), mu.values
         for k in sorted({0, 1, len(full) // 2, len(full) - 1}):
             lifted.clear()
-            mu, counts = fresh_measure(g), [0, 0]
-            stop = _worklist(g, mu, components, policy, i, counts, limit=k)
+            mu, counts, queued = fresh_measure(g), [0, 0], [True] * g.n
+            pending = _worklist(g, mu, lists, policy, i, counts, limit=k, queued=queued)
             assert counts[0] == len(lifted) == k
             assert lifted == full[:k]
-            assert full[k] in components[stop]
-            _worklist(g, mu, components[stop:], policy, i, counts)
+            assert full[k] in pending and len(pending) == len(set(pending))
+            assert set(pending) == {v for v in range(g.n) if queued[v]} | {full[k]}
+            start = next(j for j, c in enumerate(components) if not set(pending).isdisjoint(c))
+            for v in itertools.chain(*components[:start]):
+                assert mu.values[v] == expected[v]
+            final += start > 0
+            _worklist(g, mu, components[start:], policy, i, counts)
             assert mu.values == expected
             checked += 1
     assert checked >= 120
+    assert final >= 50  # 58 of the 160 stops leave a final component
+
+
+def test_probe_stops_at_any_slice(monkeypatch):
+    # however early the probe stops, the components before the first
+    # holding a vertex it left to lift are final, and `_decompose` and the
+    # completion reach the regions and the measure a full probe reaches
+    games = [g for g in seeded_games(40, (2, 60), (4, 6, 8, 16), seed=53) if not one_level(g)]
+    # Odd's vertex 0 loops on itself at Odd's priority, so it starts at
+    # TOP; every vertex moves into it, so the search over predecessors
+    # from 0 finishes it last, and the probe pops it first
+    g = GameGraph([ODD, EVEN, ODD, EVEN], [1, 2, 3, 2], [[0], [0, 2], [0, 3], [0, 1]], d=4)
+    assert _finish_order(g)[-1] == 0 and 0 in doomed(g, EVEN)
+    games.append(g)
+    assert len(games) == 41
+
+    def options(i):
+        return (dict(worklist="fifo"), dict(worklist="lifo"),
+                dict(worklist="random", seed=i), dict(full_tree=True))
+
+    regions = [zielonka(g) for g in games]
+    full = [[solve(g, **o) for o in options(i)] for i, g in enumerate(games)]
+    for limit in (0, 1, 7, 64):
+        monkeypatch.setattr(solver, "SLICE", limit)
+        for i, g in enumerate(games):
+            for o, before in zip(options(i), full[i]):
+                r = solve(g, **o)
+                assert r.regions == before.regions == regions[i]
+                assert r.measure.values == before.measure.values
+    # the last game's probe pops vertex 0 at TOP and stops at its next pop:
+    # 0, a sink, is final, and `_decompose` gets the cycle 1 -> 2 -> 3
+    monkeypatch.setattr(solver, "SLICE", 0)
+    decompose, calls = solver._decompose, []
+
+    def recorded(g, components, winner, *rest):
+        calls.append((components, list(winner)))
+        return decompose(g, components, winner, *rest)
+
+    monkeypatch.setattr(solver, "_decompose", recorded)
+    assert solve(g).regions == zielonka(g)
+    assert calls == [([[2, 3, 1]], [ODD, -1, -1, -1])]
+
+
+def test_the_second_search_runs_only_when_the_probe_stops(monkeypatch):
+    # the probe lifts in the first search's finishing order, so a game it
+    # finishes is never split into components: here, every small
+    # multi-level game.  A game it stops in is split once, from the order
+    # of its one first search
+    finish, split = solver._finish_order, solver._components
+    orders, splits = [], []
+
+    def first(g):
+        orders.append(finish(g))
+        return orders[-1]
+
+    def refused(g, order):
+        raise AssertionError("a finished probe split the game into components")
+
+    monkeypatch.setattr(solver, "_finish_order", first)
+    monkeypatch.setattr(solver, "_components", refused)
+    games = [g for g in seeded_games(300, (1, 12), (4, 6), seed=97) if not one_level(g)]
+    for g in games:
+        r = solve(g)
+        assert r.regions == zielonka(g)
+        assert r.measure.values == whole_game_values(g)
+    assert len(orders) == len(games) >= 200
+
+    def second(g, order):
+        splits.append(order)
+        return split(g, order)
+
+    monkeypatch.setattr(solver, "_components", second)
+    stopped = 0
+    for g in seeded_games(20, (100, 300), (8, 16), seed=62):
+        orders.clear()
+        splits.clear()
+        assert solve(g).regions == zielonka(g)
+        assert len(orders) == 1 and len(splits) <= 1
+        assert all(order is orders[0] for order in splits)
+        stopped += len(splits)
+    assert stopped >= 10
 
 
 def test_decompose_keeps_winners_given_for_every_vertex():
@@ -797,7 +898,7 @@ def test_decompose_keeps_winners_given_for_every_vertex():
         regions = zielonka(g)
         winners = [EVEN if v in regions.even else ODD for v in range(g.n)]
         tally = [0, 0]
-        decided = solver._decompose(g, _components(g), list(winners), False, "lifo", 0, tally)
+        decided = solver._decompose(g, sccs(g), list(winners), False, "lifo", 0, tally)
         assert decided == (winners, 0, 0)
         assert tally == [0, 0]
 
@@ -840,7 +941,7 @@ def test_rounds_decide_a_large_game_on_small_trees():
     r = solve(g)
     assert r.stats.tree_width == 28_766_465
     assert (r.stats.lifts, r.stats.changes, r.stats.subgames, r.stats.round_size) == (
-        14056, 10959, 1, 2,
+        14056, 10964, 1, 2,
     )
     assert r.regions == zielonka(g)
 
@@ -852,7 +953,7 @@ def test_second_side_starts_from_the_first_sides_decisions():
     g = random_game(10000, 16, (1, 3), seed=1)
     r = solve(g)
     assert (r.stats.lifts, r.stats.changes, r.stats.subgames, r.stats.round_size) == (
-        50196, 39554, 1, 2,
+        50199, 39557, 1, 2,
     )
     assert r.regions == zielonka(g)
 
@@ -863,7 +964,7 @@ def test_decomposition_lift_count():
     # vertices Odd wins, the others being set to TOP first
     r = solve(random_game(60, 8, (1, 3), seed=3))
     assert r.stats.player == ODD
-    assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == (501, 419, 1)
+    assert (r.stats.lifts, r.stats.changes, r.stats.subgames) == (501, 421, 1)
 
 
 def test_completion_rejects_a_lost_vertex_given_to_the_measured_player(monkeypatch):
@@ -914,9 +1015,9 @@ def test_many_subgames_in_one_solve():
     g = two_cycles(1200)
     regions = zielonka(g)
     for options, counts in (
-        (dict(worklist="fifo"), (1388, 475, 597)),
+        (dict(worklist="fifo"), (1386, 306, 600)),
         (dict(worklist="lifo"), (1392, 414, 597)),
-        (dict(worklist="random", seed=0), (1389, 453, 597)),
+        (dict(worklist="random", seed=0), (1395, 307, 600)),
         (dict(full_tree=True), (1392, 414, 597)),
     ):
         r = solve(g, **options)
@@ -1081,13 +1182,14 @@ def test_buchi_loop_peels_once_per_top_vertex_and_once_more(monkeypatch):
 
 
 def test_one_level_games_are_decided_whole(monkeypatch):
-    # no SCC search and no probe: the Buchi loop decides the game, and the
-    # completion still reaches the measured player's least fixpoint, also
-    # with one priority, with priorities 2 and 3 (b odd), with repeated
-    # successors and under every policy and the full tree
-    def no_search(g):
+    # neither SCC search and no probe: the Buchi loop decides the game, and
+    # the completion still reaches the measured player's least fixpoint,
+    # also with one priority, with priorities 2 and 3 (b odd), with
+    # repeated successors and under every policy and the full tree
+    def no_search(g, *order):
         raise AssertionError("a one-level game searched for components")
 
+    monkeypatch.setattr(solver, "_finish_order", no_search)
     monkeypatch.setattr(solver, "_components", no_search)
     rng = random.Random(89)
     checked = 0
@@ -1159,9 +1261,9 @@ def test_repeated_edge_counts_once_in_the_attractor():
 
 
 def test_lift_count_ignores_successor_order():
-    # the component search visits successors in ascending order and
-    # predecessor lists are ascending, so the order of a successor list
-    # cannot reach the queue, nor the random policy's picks from it.  The
+    # the first search visits predecessors, which are listed ascending,
+    # and the second floods whole components, so the order of a successor
+    # list cannot reach the queue, nor the random policy's picks from it.  The
     # probe finishes every small game; most larger ones go on to
     # `_decompose` and the completion run
     rng = random.Random(61)
